@@ -60,23 +60,11 @@ impl Cli {
         let mut serve = false;
         let mut addr = "127.0.0.1:8545".to_string();
         let mut mining = lsc_rpc::MiningMode::Instant;
-        let mut state_cache_bytes: Option<usize> = None;
         let mut args = std::env::args().skip(1);
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--data-dir" => {
                     data_dir = Some(PathBuf::from(args.next().ok_or("--data-dir needs a path")?));
-                }
-                // Byte budget for the state store's page cache. Only
-                // meaningful with --data-dir (the in-memory node keeps
-                // every trie node resident regardless).
-                "--state-cache-bytes" => {
-                    state_cache_bytes = Some(
-                        args.next()
-                            .ok_or("--state-cache-bytes needs a byte count")?
-                            .parse()
-                            .map_err(|_| "--state-cache-bytes needs a byte count")?,
-                    );
                 }
                 "serve" => serve = true,
                 "--addr" => {
@@ -115,15 +103,12 @@ impl Cli {
                 .enforce(&VettingPolicy::default())
                 .map_err(|e| e.to_string())
         });
-        let mut config = ChainConfig {
+        let config = ChainConfig {
             mining_workers,
             deploy_guard: Some(deploy_guard),
             upgrade_guard: Some(upgrade_guard),
             ..ChainConfig::default()
         };
-        if let Some(bytes) = state_cache_bytes {
-            config.state_cache_bytes = bytes;
-        }
         let node = match &data_dir {
             // LSC_FAULT arms the deterministic fault schedule (builds with
             // the `fault-injection` feature only; a no-op otherwise).
@@ -640,7 +625,6 @@ const HELP: &str = "commands:
   compact                                        fold the log into a snapshot
   proof <address|last> [slot…]                   eth_getProof bundle + offline check
 run with `--data-dir <path>` for a durable chain that survives restarts
-`--state-cache-bytes <n>` caps the durable state store's page cache
 run `serve [--addr host:port] [--block-time-ms N]` to expose the node
 over JSON-RPC (default 127.0.0.1:8545, instant mining) instead of the REPL";
 

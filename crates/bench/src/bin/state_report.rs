@@ -1,14 +1,15 @@
-//! Authenticated state-store report: measures the tentpole claim — a
-//! restart that adopts the persisted trie pages is O(live state), not
-//! O(history) — plus the write-path cost of durability and the page
-//! cache's byte-budget curve. Writes the series to `BENCH_state.json`
-//! and prints the table EXPERIMENTS.md records.
+//! Authenticated state report: restart latency at several history
+//! depths — full WAL replay against a restart from a compacted snapshot
+//! (import the image, bulk-build the trie, replay the log tail), with
+//! the trie build timed on its own — plus the write-path cost of
+//! durability. Writes the series to `BENCH_state.json` and prints the
+//! table EXPERIMENTS.md records.
 //!
 //! Run with: `cargo run --release -p lsc-bench --bin state_report`
 //! (`--quick` shrinks history depths for CI smoke runs).
 
 use lsc_chain::wal::Faults;
-use lsc_chain::{ChainConfig, LocalNode, Transaction};
+use lsc_chain::{ChainConfig, LocalNode, MemNodes, StateTrie, Transaction, WorldState};
 use lsc_primitives::{Address, U256};
 use std::path::PathBuf;
 use std::time::Instant;
@@ -70,8 +71,8 @@ fn deploy_writer(node: &mut LocalNode) -> Address {
 }
 
 /// Mine `blocks` blocks each carrying one storage-churn call: replay
-/// must re-execute every SSTORE and re-hash every trie update; an
-/// adopting restart does neither.
+/// must re-execute every SSTORE and re-hash every trie update; a
+/// snapshot restart does neither.
 fn grow_heavy(node: &mut LocalNode, writer: Address, blocks: usize) {
     let accounts: Vec<Address> = node.accounts().to_vec();
     for i in 0..blocks {
@@ -87,12 +88,14 @@ fn grow_heavy(node: &mut LocalNode, writer: Address, blocks: usize) {
 struct RestartPoint {
     depth: usize,
     replay_ns: u128,
-    adopted_ns: u128,
+    snapshot_ns: u128,
+    trie_build_ns: u128,
 }
 
 /// One restart experiment at a given history depth: build the chain,
 /// time a full-log-replay recovery (no compaction), then compact and
-/// time the page-adopting recovery of the *same* chain.
+/// time the snapshot restart of the *same* chain. The trie build inside
+/// that restart is timed separately, over the recovered accounts.
 fn restart_at(depth: usize) -> RestartPoint {
     let dir = temp_dir(&format!("restart-{depth}"));
     let mut node = LocalNode::open(&dir, ChainConfig::default(), 6, Faults::none())
@@ -110,22 +113,33 @@ fn restart_at(depth: usize) -> RestartPoint {
     assert_eq!(replayed.block_number(), want_blocks);
     assert_eq!(replayed.state_root(), want_root);
 
-    // After: compact at the tip — snapshot + persisted trie pages + root
-    // file — so the next restart adopts instead of replaying.
+    // After: compact at the tip, so the next restart imports the
+    // snapshot and bulk-builds the trie instead of replaying.
     replayed.compact().expect("compact");
     drop(replayed);
     let start = Instant::now();
-    let mut adopted = LocalNode::recover(&dir, Faults::none()).expect("adopting recovery");
-    let adopted_ns = start.elapsed().as_nanos();
-    assert_eq!(adopted.block_number(), want_blocks);
-    assert_eq!(adopted.state_root(), want_root);
-    drop(adopted);
+    let mut restarted = LocalNode::recover(&dir, Faults::none()).expect("snapshot recovery");
+    let snapshot_ns = start.elapsed().as_nanos();
+    assert_eq!(restarted.block_number(), want_blocks);
+    assert_eq!(restarted.state_root(), want_root);
+
+    let mut state = WorldState::new();
+    for (address, account) in restarted.state_accounts() {
+        state.restore_account(address, account);
+    }
+    state.commit();
+    let start = Instant::now();
+    let trie = StateTrie::rebuild_from(&mut MemNodes::new(), &state);
+    let trie_build_ns = start.elapsed().as_nanos();
+    assert_eq!(trie.root(), want_root);
+    drop(restarted);
 
     let _ = std::fs::remove_dir_all(&dir);
     RestartPoint {
         depth,
         replay_ns,
-        adopted_ns,
+        snapshot_ns,
+        trie_build_ns,
     }
 }
 
@@ -135,7 +149,7 @@ struct Throughput {
     durable_ns: u128,
 }
 
-/// Sustained transfer throughput, in-memory vs store-backed.
+/// Sustained transfer throughput, in-memory vs durable (write-ahead log).
 fn throughput(txs: usize) -> Throughput {
     let mut node = LocalNode::new(6);
     let start = Instant::now();
@@ -157,63 +171,6 @@ fn throughput(txs: usize) -> Throughput {
     }
 }
 
-struct CachePoint {
-    cache_bytes: usize,
-    proofs: usize,
-    total_ns: u128,
-}
-
-/// Proof-serving latency under a byte-budgeted page cache: build a wide
-/// trie (`accounts` fresh externally-owned accounts), compact, restart
-/// so every node lives on disk, then generate proofs through the cache.
-fn cache_sweep(accounts: usize, proofs: usize, budgets: &[usize]) -> Vec<CachePoint> {
-    budgets
-        .iter()
-        .map(|&cache_bytes| {
-            let dir = temp_dir(&format!("cache-{cache_bytes}"));
-            let config = ChainConfig {
-                state_cache_bytes: cache_bytes,
-                ..ChainConfig::default()
-            };
-            let mut node = LocalNode::open(&dir, config, 6, Faults::none()).expect("open");
-            let sender = node.accounts()[0];
-            let targets: Vec<Address> = (0..accounts)
-                .map(|i| Address::from_label(&format!("tenant-{i}")))
-                .collect();
-            for chunk in targets.chunks(64) {
-                for to in chunk {
-                    node.submit_transaction(
-                        Transaction::call(sender, *to, vec![])
-                            .with_value(U256::from_u64(1))
-                            .with_gas(21_000),
-                    );
-                }
-                let (_, errors) = node.mine_block();
-                assert!(errors.is_empty(), "{errors:?}");
-            }
-            node.compact().expect("compact");
-            drop(node);
-            // The restart adopts the persisted pages: the trie is now
-            // disk-resident and every proof walk goes through the cache.
-            let mut node = LocalNode::recover(&dir, Faults::none()).expect("recover");
-            let start = Instant::now();
-            for i in 0..proofs {
-                let target = targets[(i * 31) % targets.len()];
-                let proof = node.proof(target, &[]).expect("proof");
-                assert!(proof.account.is_some());
-            }
-            let total_ns = start.elapsed().as_nanos();
-            drop(node);
-            let _ = std::fs::remove_dir_all(&dir);
-            CachePoint {
-                cache_bytes,
-                proofs,
-                total_ns,
-            }
-        })
-        .collect()
-}
-
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let depths: &[usize] = if quick {
@@ -222,105 +179,60 @@ fn main() {
         &[1_000, 4_000, 10_000]
     };
     let tx_count = if quick { 300 } else { 3_000 };
-    let (cache_accounts, cache_proofs) = if quick { (256, 400) } else { (2_048, 4_000) };
-    let budgets: &[usize] = &[16 << 10, 64 << 10, 256 << 10, 4 << 20];
+    let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
 
     // ---- restart latency vs history depth ---------------------------
     let restarts: Vec<RestartPoint> = depths.iter().map(|&d| restart_at(d)).collect();
-    println!("\n=== restart latency vs history depth ===");
+    println!("\n=== restart latency vs history depth (nproc {nproc}) ===");
     println!(
-        "{:>8} | {:>14} | {:>14} | {:>8}",
-        "blocks", "replay (ms)", "adopted (ms)", "speedup"
+        "{:>8} | {:>12} | {:>14} | {:>14} | {:>8}",
+        "blocks", "replay (ms)", "snapshot (ms)", "trie build (ms)", "speedup"
     );
-    println!("{}", "-".repeat(54));
+    println!("{}", "-".repeat(70));
     for p in &restarts {
         println!(
-            "{:>8} | {:>14.2} | {:>14.2} | {:>7.1}x",
+            "{:>8} | {:>12.2} | {:>14.2} | {:>14.3} | {:>7.1}x",
             p.depth,
             p.replay_ns as f64 / 1e6,
-            p.adopted_ns as f64 / 1e6,
-            p.replay_ns as f64 / p.adopted_ns.max(1) as f64
+            p.snapshot_ns as f64 / 1e6,
+            p.trie_build_ns as f64 / 1e6,
+            p.replay_ns as f64 / p.snapshot_ns.max(1) as f64
         );
     }
-    // Flatness: the adopting restart re-executes nothing, so its
-    // per-block cost (header + receipt decode) must stay constant as
-    // history deepens — unlike replay, whose per-block cost is the
-    // block's execution + trie hashing.
-    let per_block: Vec<f64> = restarts
-        .iter()
-        .map(|p| p.adopted_ns as f64 / p.depth.max(1) as f64)
-        .collect();
-    let flatness = per_block.iter().copied().fold(0.0, f64::max)
-        / per_block.iter().copied().fold(f64::MAX, f64::min).max(1.0);
-    println!(
-        "adopted restart cost per block: {} ns — max/min {flatness:.2}x (flat if ~1)",
-        per_block
-            .iter()
-            .map(|ns| format!("{ns:.0}"))
-            .collect::<Vec<_>>()
-            .join(" / ")
-    );
 
     // ---- sustained throughput ---------------------------------------
     let tp = throughput(tx_count);
     let mem_tps = tp.txs as f64 / (tp.memory_ns as f64 / 1e9);
     let dur_tps = tp.txs as f64 / (tp.durable_ns as f64 / 1e9);
     println!("\n=== sustained single-transfer blocks ===");
-    println!("in-memory:    {mem_tps:>10.0} tx/s");
+    println!("in-memory: {mem_tps:>10.0} tx/s");
     println!(
-        "store-backed: {dur_tps:>10.0} tx/s ({:.2}x the in-memory cost)",
+        "durable:   {dur_tps:>10.0} tx/s ({:.2}x the in-memory cost)",
         tp.durable_ns as f64 / tp.memory_ns.max(1) as f64
     );
-
-    // ---- cache-budget sweep -----------------------------------------
-    let sweep = cache_sweep(cache_accounts, cache_proofs, budgets);
-    println!("\n=== proof latency vs page-cache budget ({cache_accounts} accounts) ===");
-    println!("{:>12} | {:>14} | {:>12}", "cache", "proofs/s", "us/proof");
-    println!("{}", "-".repeat(44));
-    for p in &sweep {
-        let per_sec = p.proofs as f64 / (p.total_ns as f64 / 1e9);
-        println!(
-            "{:>10}KB | {:>14.0} | {:>12.1}",
-            p.cache_bytes >> 10,
-            per_sec,
-            p.total_ns as f64 / 1e3 / p.proofs as f64
-        );
-    }
 
     // ---- BENCH_state.json -------------------------------------------
     let mut json = String::from("{\n  \"bench\": \"state_store\",\n");
     json.push_str(&format!("  \"quick\": {quick},\n"));
+    json.push_str(&format!("  \"nproc\": {nproc},\n"));
     json.push_str("  \"restart\": [\n");
     for (i, p) in restarts.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"blocks\": {}, \"replay_ns\": {}, \"adopted_ns\": {}, \"speedup\": {:.3}}}{}\n",
+            "    {{\"blocks\": {}, \"replay_ns\": {}, \"snapshot_ns\": {}, \"trie_build_ns\": {}, \"speedup\": {:.3}}}{}\n",
             p.depth,
             p.replay_ns,
-            p.adopted_ns,
-            p.replay_ns as f64 / p.adopted_ns.max(1) as f64,
+            p.snapshot_ns,
+            p.trie_build_ns,
+            p.replay_ns as f64 / p.snapshot_ns.max(1) as f64,
             if i + 1 < restarts.len() { "," } else { "" }
         ));
     }
     json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"adopted_per_block_flatness_ratio\": {flatness:.3},\n"
-    ));
-    json.push_str(&format!(
-        "  \"throughput\": {{\"txs\": {}, \"memory_ns\": {}, \"durable_ns\": {}, \"memory_tps\": {:.0}, \"durable_tps\": {:.0}}},\n",
+        "  \"throughput\": {{\"txs\": {}, \"memory_ns\": {}, \"durable_ns\": {}, \"memory_tps\": {:.0}, \"durable_tps\": {:.0}}}\n",
         tp.txs, tp.memory_ns, tp.durable_ns, mem_tps, dur_tps
     ));
-    json.push_str("  \"cache_sweep\": [\n");
-    for (i, p) in sweep.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"cache_bytes\": {}, \"proofs\": {}, \"total_ns\": {}, \"proofs_per_sec\": {:.0}}}{}\n",
-            p.cache_bytes,
-            p.proofs,
-            p.total_ns,
-            p.proofs as f64 / (p.total_ns as f64 / 1e9),
-            if i + 1 < sweep.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
+    json.push_str("}\n");
     std::fs::write("BENCH_state.json", &json).expect("write BENCH_state.json");
     println!("\nwrote BENCH_state.json");
 }

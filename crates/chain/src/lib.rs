@@ -31,12 +31,10 @@ pub use node::{ChainConfig, DeployGuard, LocalNode, UpgradeGuard, DEFAULT_MAX_PE
 pub use producer::{BlockProducer, ProducerConfig};
 pub use snapshot::SnapshotError;
 pub use state::{Account, WorldState};
-pub use store::{
-    AccountProof, StateStore, StateTrie, StorageProof, DEFAULT_CACHE_BYTES, PAGE_SIZE,
-};
+pub use store::{AccountProof, StateTrie, StorageProof};
 pub use trie::{
     account_key, decode_account, decode_slot_value, storage_key, verify_proof, AccountData,
-    MemNodes, NodeStore, ProofError, Trie, TrieError,
+    MemNodes, ProofError, Trie, TrieError,
 };
 pub use tx::{Block, Receipt, Transaction, TxError};
 pub use wal::{fault_injection_enabled, FaultPlan, Faults, Wal, WalError, WalRecord};

@@ -10,8 +10,8 @@ use crate::mempool::Mempool;
 use crate::mvcc::{self, CommittedSnapshot, LogFilter, PublishedInner, PublishedSlot, ReadHandle};
 use crate::parallel;
 use crate::state::WorldState;
-use crate::store::{AccountProof, StateStore, StateTrie, StorageProof, DEFAULT_CACHE_BYTES};
-use crate::trie::TrieError;
+use crate::store::{AccountProof, StateTrie, StorageProof};
+use crate::trie::{MemNodes, TrieError};
 use crate::tx::{Block, Receipt, Transaction, TxError};
 use crate::wal::{self, Faults, Wal, WalError, WalRecord};
 use lsc_abi::json::{parse, JsonValue};
@@ -153,11 +153,6 @@ pub struct ChainConfig {
     /// runtime code before any `setNext`/`setPrev` version-pointer call
     /// executes; `Err` rejects with [`TxError::UpgradeRejected`].
     pub upgrade_guard: Option<UpgradeGuard>,
-    /// Byte budget for the authenticated state store's page cache on
-    /// disk-backed nodes (see [`crate::store::DEFAULT_CACHE_BYTES`]).
-    /// Smaller budgets bound resident memory; reads past the budget hit
-    /// the page file.
-    pub state_cache_bytes: usize,
     /// When set, a durable node compacts its write-ahead log on its own
     /// once the live log spans this many segments beyond the newest
     /// snapshot. `None` (the default) leaves compaction to explicit
@@ -178,7 +173,6 @@ impl Default for ChainConfig {
             max_pending: DEFAULT_MAX_PENDING,
             deploy_guard: None,
             upgrade_guard: None,
-            state_cache_bytes: DEFAULT_CACHE_BYTES,
             auto_compact_segments: None,
         }
     }
@@ -223,15 +217,11 @@ pub struct LocalNode {
     /// synced lazily from the state's dirt marks (see
     /// [`LocalNode::sync_state_trie`]).
     state_trie: StateTrie,
-    /// Node store backing the trie: in-memory for dev nodes, a paged
-    /// page file behind an LRU cache for durable ones.
-    state_store: StateStore,
+    /// Node store backing the trie.
+    state_nodes: MemNodes,
     /// First WAL segment not covered by the newest snapshot — what the
     /// auto-compaction trigger measures live-log growth against.
     compacted_from: u64,
-    /// Trie root recorded in the last imported snapshot image, stashed
-    /// for recovery's adopt-or-rebuild decision.
-    adoptable_root: Option<H256>,
 }
 
 struct NodeSnapshot {
@@ -284,12 +274,10 @@ impl LocalNode {
             dev_accounts.push(address);
         }
         state.commit();
-        let mut state_store = StateStore::in_memory();
-        let mut state_trie = StateTrie::new();
-        let genesis_dirt = state.take_trie_dirty();
-        let state_root = state_trie
-            .apply(&mut state_store, &state, &genesis_dirt)
-            .expect("genesis trie build against an in-memory store");
+        let _ = state.take_trie_dirty();
+        let mut state_nodes = MemNodes::new();
+        let state_trie = StateTrie::rebuild_from(&mut state_nodes, &state);
+        let state_root = state_trie.root();
         let genesis = Block {
             number: 0,
             hash: Block::compute_hash(0, H256::ZERO, config.genesis_timestamp, state_root, &[]),
@@ -317,9 +305,8 @@ impl LocalNode {
             published: Arc::new(PublishedInner::new(Arc::new(shadow.clone()))),
             shadow,
             state_trie,
-            state_store,
+            state_nodes,
             compacted_from: 0,
-            adoptable_root: None,
         };
         node.rebuild_published();
         node
@@ -507,16 +494,28 @@ impl LocalNode {
         }
         let root = self
             .state_trie
-            .apply(&mut self.state_store, &self.state, &dirty)
+            .apply(&mut self.state_nodes, &self.state, &dirty)
             .expect("state trie update over committed state");
-        // Superseded intermediate nodes pile up in the store's memory
-        // overlay; drop them once they outweigh the live set.
-        if self.state_store.mem_len() > self.state_store.gc_watermark() {
-            if let Ok(live) = self.state_trie.live_nodes(&mut self.state_store) {
-                self.state_store.gc(&live);
+        // Superseded intermediate nodes pile up in the store; drop them
+        // once they outweigh the live set.
+        if self.state_nodes.len() > self.state_nodes.gc_watermark() {
+            if let Ok(live) = self.state_trie.live_nodes(&self.state_nodes) {
+                self.state_nodes.gc(&live);
             }
         }
         root
+    }
+
+    /// Replace the trie with a bulk build over the committed world
+    /// state, dropping every old node — for changes that swap state
+    /// wholesale (snapshot import, revert), which the per-block dirt
+    /// fold would otherwise redo key by key. The trie is canonical, so
+    /// the root equals what an incremental history of this state
+    /// carried.
+    pub(crate) fn rebuild_state_trie(&mut self) {
+        let _ = self.state.take_trie_dirty();
+        self.state_nodes = MemNodes::new();
+        self.state_trie = StateTrie::rebuild_from(&mut self.state_nodes, &self.state);
     }
 
     /// The authenticated state root over the committed world state.
@@ -526,41 +525,19 @@ impl LocalNode {
         self.sync_state_trie()
     }
 
-    /// Canonical trie root of the committed world state, computed from
-    /// scratch against a throwaway in-memory store — snapshot export
-    /// runs through `&self`, so it cannot fold pending changes into the
-    /// live trie. Canonicity makes this equal the incrementally
-    /// maintained root whenever the live trie is synced, which is what
-    /// lets recovery adopt a persisted page store whose committed root
-    /// matches an image's recorded `state_root`.
-    pub(crate) fn canonical_state_root(&self) -> H256 {
-        let mut scratch = StateStore::in_memory();
-        StateTrie::rebuild_from(&mut scratch, &self.state)
-            .expect("scratch trie build against an in-memory store")
-            .root()
-    }
-
-    pub(crate) fn set_adoptable_root(&mut self, root: Option<H256>) {
-        self.adoptable_root = root;
-    }
-
     /// `eth_getProof`: Merkle proofs for an account and a set of its
     /// storage slots against the current state root. The bundle is
     /// verifiable offline with [`crate::trie::verify_proof`] — no node
     /// access needed; absence (account or slot) is proven too.
     pub fn proof(&mut self, address: Address, slots: &[U256]) -> Result<AccountProof, TrieError> {
         let state_root = self.sync_state_trie();
-        let account = self
-            .state_trie
-            .account_data(&mut self.state_store, address)?;
-        let account_proof = self
-            .state_trie
-            .prove_account(&mut self.state_store, address)?;
+        let account = self.state_trie.account_data(&self.state_nodes, address)?;
+        let account_proof = self.state_trie.prove_account(&self.state_nodes, address)?;
         let mut storage_proofs = Vec::with_capacity(slots.len());
         for &slot in slots {
             let proof = self
                 .state_trie
-                .prove_storage(&mut self.state_store, address, slot)?;
+                .prove_storage(&self.state_nodes, address, slot)?;
             storage_proofs.push(StorageProof {
                 key: slot,
                 value: self.state.storage(address, slot),
@@ -667,11 +644,8 @@ impl LocalNode {
         self.timestamp = snapshot.timestamp;
         self.install_pending(snapshot.pending);
         // The trie tracked state that no longer exists — rebuild it over
-        // the restored world. The trie is canonical, so the root equals
-        // what an untouched chain at this point carried.
-        self.state_trie = StateTrie::rebuild_from(&mut self.state_store, &self.state)
-            .expect("state trie rebuild over restored state");
-        let _ = self.state.take_trie_dirty();
+        // the restored world.
+        self.rebuild_state_trie();
         // History shrank: the incremental sync can't express that, so
         // republish from scratch.
         self.rebuild_published();
@@ -1314,6 +1288,10 @@ impl LocalNode {
 
 // ---- durability ------------------------------------------------------
 
+/// Trie page-store files written by older releases; compaction deletes
+/// them.
+const LEGACY_TRIE_FILES: [&str; 2] = ["state.pages", "state.root"];
+
 fn meta_path(dir: &Path) -> PathBuf {
     dir.join("meta.json")
 }
@@ -1340,10 +1318,6 @@ fn meta_json(config: &ChainConfig, n_accounts: usize) -> String {
         ),
         ("max_pending", JsonValue::Number(config.max_pending as f64)),
         (
-            "state_cache_bytes",
-            JsonValue::Number(config.state_cache_bytes as f64),
-        ),
-        (
             "auto_compact_segments",
             match config.auto_compact_segments {
                 Some(n) => JsonValue::Number(n as f64),
@@ -1368,12 +1342,9 @@ fn parse_meta(text: &str) -> Result<(ChainConfig, usize), WalError> {
         Some(JsonValue::Number(n)) if *n >= 1.0 => *n as usize,
         _ => DEFAULT_MAX_PENDING,
     };
-    // Both trie-store knobs post-date early metas; absent fields fall
-    // back to the defaults rather than failing the whole recovery.
-    let state_cache_bytes = match doc.get("state_cache_bytes") {
-        Some(JsonValue::Number(n)) if *n >= 1.0 => *n as usize,
-        _ => DEFAULT_CACHE_BYTES,
-    };
+    // Metas written before auto-compaction existed leave it off. Fields
+    // this release does not know (older releases' page-cache budget)
+    // are ignored.
     let auto_compact_segments = match doc.get("auto_compact_segments") {
         Some(JsonValue::Number(n)) if *n >= 1.0 => Some(*n as u64),
         _ => None,
@@ -1390,7 +1361,6 @@ fn parse_meta(text: &str) -> Result<(ChainConfig, usize), WalError> {
         // theirs after replay (replayed deployments already passed it).
         deploy_guard: None,
         upgrade_guard: None,
-        state_cache_bytes,
         auto_compact_segments,
     };
     let n_accounts = crate::codec::u64_field(&doc, "n_accounts").map_err(corrupt)? as usize;
@@ -1429,13 +1399,6 @@ impl LocalNode {
             &Faults::none(),
         )?;
         let mut node = LocalNode::with_config(config, n_accounts);
-        // Swap the in-memory node store for the disk-backed one; on a
-        // fresh chain the rebuild re-hashes the genesis accounts only.
-        let mut store = StateStore::open(dir, node.config.state_cache_bytes, faults.clone())?;
-        node.state_trie = StateTrie::rebuild_from(&mut store, &node.state)
-            .map_err(|e| WalError::Corrupt(format!("state trie rebuild: {e}")))?;
-        let _ = node.state.take_trie_dirty();
-        node.state_store = store;
         node.durable_log = Some(Wal::open(dir, faults)?);
         Ok(node)
     }
@@ -1466,32 +1429,9 @@ impl LocalNode {
                 break;
             }
         }
-        // Attach the disk-backed node store. When its committed root is
-        // exactly the imported image's trie root and every reachable
-        // node is present and checksummed (the walk verifies both),
-        // adopt the pages as-is: restart cost stays O(live state + log
-        // tail) — flat in history length. Anything else — no root file,
-        // no snapshot, a torn page, a crash between the snapshot rename
-        // and the root-file flip — falls back to rebuilding the
-        // canonical trie from the imported world state, which lands on
-        // the bit-identical root.
-        let mut store = StateStore::open(dir, config.state_cache_bytes, faults.clone())?;
-        let adopted = match (store.persisted_root(), node.adoptable_root) {
-            (Some((root, _)), Some(expected)) if root == expected => {
-                let trie = StateTrie::from_root(root);
-                trie.live_nodes(&mut store).is_ok().then_some(trie)
-            }
-            _ => None,
-        };
-        node.state_store = store;
-        node.state_trie = match adopted {
-            Some(trie) => trie,
-            None => StateTrie::rebuild_from(&mut node.state_store, &node.state)
-                .map_err(|e| WalError::Corrupt(format!("state trie rebuild: {e}")))?,
-        };
-        // Either way the trie now mirrors the imported state exactly;
-        // the dirt marks import left behind describe work already done.
-        let _ = node.state.take_trie_dirty();
+        // The import bulk-built the trie over the snapshot's world state
+        // (genesis alone when there is no snapshot); replay folds each
+        // block in incrementally.
         node.compacted_from = wal_from;
         node.replaying = true;
         for record in wal::committed_records(dir, wal_from)? {
@@ -1515,9 +1455,6 @@ impl LocalNode {
         if let Some(reason) = &self.poisoned {
             return Err(WalError::Io(format!("node poisoned: {reason}")));
         }
-        // Fold any pending changes first, so the exported image's trie
-        // root and the persisted page store agree on one root.
-        self.sync_state_trie();
         let Some(log) = self.durable_log.as_mut() else {
             return Err(WalError::Io("node has no write-ahead log".into()));
         };
@@ -1538,16 +1475,11 @@ impl LocalNode {
                 let _ = std::fs::remove_file(path);
             }
         }
-        // Persist the trie: live nodes to pages (one fsync), then the
-        // root file — the page store's atomic commit point. The next
-        // restart adopts the pages instead of re-hashing the world
-        // state out of the image.
-        let live = self
-            .state_trie
-            .live_nodes(&mut self.state_store)
-            .map_err(|e| WalError::Corrupt(format!("state trie walk: {e}")))?;
-        self.state_store
-            .persist(self.state_trie.root(), self.block_number(), &live)?;
+        // Trie page files left by releases that persisted the trie are
+        // never read; the snapshot just written supersedes them.
+        for stale in LEGACY_TRIE_FILES {
+            let _ = std::fs::remove_file(dir.join(stale));
+        }
         self.compacted_from = wal_from;
         Ok(wal_from)
     }

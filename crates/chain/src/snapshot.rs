@@ -149,14 +149,6 @@ impl LocalNode {
                 ),
             ),
         ];
-        // The trie root of the exported account set: recovery adopts the
-        // persisted page store without rebuilding iff its committed root
-        // matches this (the trie is canonical, so the root is a pure
-        // function of the accounts above).
-        fields.push((
-            "state_root",
-            JsonValue::String(codec::h256_to_str(&self.canonical_state_root())),
-        ));
         if let Some(wal_from) = wal_from {
             fields.push(("wal_from", JsonValue::Number(wal_from as f64)));
         }
@@ -202,6 +194,7 @@ impl LocalNode {
         for (address, account) in accounts {
             self.restore_account_state(address, account);
         }
+        self.rebuild_state_trie();
         Ok(imported)
     }
 
@@ -292,14 +285,9 @@ impl LocalNode {
         for (address, account) in accounts {
             self.restore_account_state(address, account);
         }
-        // Remember the image's trie root (when present): recovery uses it
-        // to decide whether the on-disk page store can be adopted as-is.
-        self.set_adoptable_root(
-            state
-                .get("state_root")
-                .and_then(JsonValue::as_str)
-                .and_then(|s| codec::h256_from_str(s).ok()),
-        );
+        // Images from older releases also carry a `state_root` field;
+        // the bulk build recomputes it from the accounts.
+        self.rebuild_state_trie();
         self.install_history(blocks, receipts);
         self.install_pending(pending);
         self.install_app_events(app_events);

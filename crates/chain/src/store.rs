@@ -1,564 +1,15 @@
-//! Paged on-disk node store for the authenticated state trie.
-//!
-//! Layout: one append-mostly page file (`state.pages`) of fixed
-//! [`PAGE_SIZE`] pages, each `[magic u32 LE][used u32 LE]` followed by
-//! packed records `[len u16 LE][hash: 32 bytes][payload]`. Records are
-//! content-addressed — `hash = keccak(payload)` — so opening the file
-//! rebuilds the hash→location index with a single sequential scan that
-//! *verifies* every record; a torn page (bad magic, bad length, or a
-//! checksum mismatch) simply contributes nothing and its tail space
-//! returns to the free list. The commit point is a separate tiny root
-//! file (`state.root`, written atomically via tmp+fsync+rename) naming
-//! the trie root and block height the pages authenticate: until the
-//! rename lands, recovery sees the previous root — or none — and falls
-//! back to rebuilding the (canonical) trie from world state, which
-//! yields the bit-identical root.
-//!
-//! Reads go through an LRU page cache with a configurable byte budget,
-//! so resident memory stays bounded while state exceeds RAM. All writes
-//! and fsyncs route through the shared [`Faults`] handle, which makes
-//! every persist-path crash point enumerable by the recovery sweep
-//! exactly like the WAL's.
+//! The two-level authenticated state trie: one account trie whose
+//! leaves commit each account's storage root, over the single in-memory
+//! [`MemNodes`] store. It is rebuilt in one bottom-up pass whenever the
+//! world state is replaced wholesale (snapshot import, revert, restart)
+//! and folded incrementally from per-block dirt otherwise.
 
-use crate::state::{TrieDirt, WorldState};
+use crate::state::{Account, TrieDirt, WorldState};
 use crate::trie::{
     account_key, decode_account, encode_account, encode_slot_value, storage_key, AccountData,
-    NodeStore, Trie, TrieError,
+    MemNodes, Trie, TrieError,
 };
-use crate::wal::{self, Faults, WalError, WriteCheck};
-use lsc_abi::json::{parse, JsonValue};
-use lsc_primitives::{Address, FxHashMap, H256, U256};
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
-
-/// Size of one store page.
-pub const PAGE_SIZE: usize = 16 * 1024;
-/// Default LRU page-cache budget (bytes).
-pub const DEFAULT_CACHE_BYTES: usize = 16 * 1024 * 1024;
-
-const PAGE_MAGIC: u32 = 0x4C53_4350; // "LSCP"
-const PAGE_HEADER: usize = 8;
-const RECORD_HEADER: usize = 2 + 32; // len u16 + content hash
-const PAGES_FILE: &str = "state.pages";
-const ROOT_FILE: &str = "state.root";
-
-fn io_err(context: &str, e: std::io::Error) -> WalError {
-    WalError::Io(format!("{context}: {e}"))
-}
-
-// ---- page cache ------------------------------------------------------
-
-/// LRU cache of whole pages under a byte budget.
-struct PageCache {
-    budget: usize,
-    tick: u64,
-    pages: FxHashMap<u32, (Arc<Vec<u8>>, u64)>,
-}
-
-impl PageCache {
-    fn new(budget: usize) -> PageCache {
-        PageCache {
-            budget,
-            tick: 0,
-            pages: FxHashMap::default(),
-        }
-    }
-
-    fn get(&mut self, page: u32) -> Option<Arc<Vec<u8>>> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.pages.get_mut(&page).map(|entry| {
-            entry.1 = tick;
-            Arc::clone(&entry.0)
-        })
-    }
-
-    fn put(&mut self, page: u32, bytes: Arc<Vec<u8>>) {
-        self.tick += 1;
-        self.pages.insert(page, (bytes, self.tick));
-        while self.pages.len() * PAGE_SIZE > self.budget && self.pages.len() > 1 {
-            let oldest = self
-                .pages
-                .iter()
-                .min_by_key(|(_, (_, tick))| *tick)
-                .map(|(page, _)| *page)
-                .expect("non-empty");
-            self.pages.remove(&oldest);
-        }
-    }
-
-    fn clear(&mut self) {
-        self.pages.clear();
-    }
-}
-
-// ---- paged file ------------------------------------------------------
-
-#[derive(Debug, Clone, Copy)]
-struct RecordLoc {
-    page: u32,
-    /// Offset of the record header within the page.
-    offset: u32,
-    /// Payload length.
-    len: u32,
-}
-
-/// The on-disk page file plus its in-memory index, tail page and cache.
-struct PagedFile {
-    path: PathBuf,
-    file: File,
-    index: FxHashMap<H256, RecordLoc>,
-    n_pages: u32,
-    /// Fully-free page indices available for reuse (torn pages found at
-    /// open, space reclaimed by vacuum).
-    free: Vec<u32>,
-    /// The page currently being filled; buffered until the next flush.
-    tail: u32,
-    tail_buf: Vec<u8>,
-    tail_used: u32,
-    /// Full pages not yet written to disk, in fill order.
-    pending: Vec<(u32, Vec<u8>)>,
-    cache: PageCache,
-    /// Total record bytes referenced by the index (live upper bound).
-    record_bytes: u64,
-    faults: Faults,
-}
-
-fn blank_page() -> Vec<u8> {
-    let mut buf = vec![0u8; PAGE_SIZE];
-    buf[0..4].copy_from_slice(&PAGE_MAGIC.to_le_bytes());
-    buf
-}
-
-fn set_used(buf: &mut [u8], used: u32) {
-    buf[4..8].copy_from_slice(&used.to_le_bytes());
-}
-
-/// Seek-and-write one page, honouring the injected fault schedule. A
-/// free function (not a method) so [`PagedFile::flush`] can write pages
-/// it still holds borrowed.
-fn write_page_to(file: &mut File, faults: &Faults, page: u32, buf: &[u8]) -> Result<(), WalError> {
-    file.seek(SeekFrom::Start(u64::from(page) * PAGE_SIZE as u64))
-        .map_err(|e| io_err("seek page", e))?;
-    match faults.check_write() {
-        WriteCheck::Proceed => file.write_all(buf).map_err(|e| io_err("write page", e))?,
-        WriteCheck::Fail => return Err(WalError::Injected("write".into())),
-        WriteCheck::Short(k) => {
-            let k = k.min(buf.len().saturating_sub(1));
-            file.write_all(&buf[..k])
-                .map_err(|e| io_err("write page", e))?;
-            return Err(WalError::Injected(format!("short write ({k} bytes)")));
-        }
-    }
-    Ok(())
-}
-
-impl PagedFile {
-    fn open(path: PathBuf, cache_bytes: usize, faults: Faults) -> Result<PagedFile, WalError> {
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&path)
-            .map_err(|e| io_err("open page file", e))?;
-        let len = file
-            .metadata()
-            .map_err(|e| io_err("stat page file", e))?
-            .len() as usize;
-        let mut index = FxHashMap::default();
-        let mut free = Vec::new();
-        let mut record_bytes = 0u64;
-        let full_pages = (len / PAGE_SIZE) as u32;
-        let mut buf = vec![0u8; PAGE_SIZE];
-        file.seek(SeekFrom::Start(0))
-            .map_err(|e| io_err("seek page file", e))?;
-        for page in 0..full_pages {
-            file.read_exact(&mut buf)
-                .map_err(|e| io_err("read page", e))?;
-            let magic = u32::from_le_bytes(buf[0..4].try_into().expect("4 bytes"));
-            let used = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes")) as usize;
-            if magic != PAGE_MAGIC || used == 0 || used > PAGE_SIZE - PAGE_HEADER {
-                free.push(page);
-                continue;
-            }
-            let mut pos = PAGE_HEADER;
-            let end = PAGE_HEADER + used;
-            while pos + RECORD_HEADER <= end {
-                let len = u16::from_le_bytes([buf[pos], buf[pos + 1]]) as usize;
-                let payload_end = pos + RECORD_HEADER + len;
-                if len == 0 || payload_end > end {
-                    break; // torn tail of a page — ignore the rest
-                }
-                let hash = H256::from_slice(&buf[pos + 2..pos + 34]).expect("32 bytes");
-                let payload = &buf[pos + RECORD_HEADER..payload_end];
-                if H256::keccak(payload) != hash {
-                    break; // corrupt record ends the page's valid prefix
-                }
-                index.entry(hash).or_insert(RecordLoc {
-                    page,
-                    offset: pos as u32,
-                    len: len as u32,
-                });
-                record_bytes += (RECORD_HEADER + len) as u64;
-                pos = payload_end;
-            }
-        }
-        // A trailing partial page (crash during extension) is free space.
-        let n_pages = (len as u64).div_ceil(PAGE_SIZE as u64) as u32;
-        if n_pages > full_pages {
-            free.push(full_pages);
-        }
-        // Fill a fresh tail page; existing pages are immutable history
-        // (rewriting them would invalidate scanned offsets mid-session).
-        let tail = free.pop().unwrap_or(n_pages);
-        let n_pages = n_pages.max(tail + 1);
-        Ok(PagedFile {
-            path,
-            file,
-            index,
-            n_pages,
-            free,
-            tail,
-            tail_buf: blank_page(),
-            tail_used: 0,
-            pending: Vec::new(),
-            cache: PageCache::new(cache_bytes),
-            record_bytes,
-            faults,
-        })
-    }
-
-    fn contains(&self, hash: H256) -> bool {
-        self.index.contains_key(&hash)
-    }
-
-    /// Fetch a record's payload by hash.
-    fn get(&mut self, hash: H256) -> Option<Arc<Vec<u8>>> {
-        let loc = *self.index.get(&hash)?;
-        let start = loc.offset as usize + RECORD_HEADER;
-        let end = start + loc.len as usize;
-        if loc.page == self.tail {
-            return Some(Arc::new(self.tail_buf[start..end].to_vec()));
-        }
-        if let Some((_, buf)) = self.pending.iter().find(|(page, _)| *page == loc.page) {
-            return Some(Arc::new(buf[start..end].to_vec()));
-        }
-        let page_buf = match self.cache.get(loc.page) {
-            Some(buf) => buf,
-            None => {
-                let mut buf = vec![0u8; PAGE_SIZE];
-                self.file
-                    .seek(SeekFrom::Start(u64::from(loc.page) * PAGE_SIZE as u64))
-                    .ok()?;
-                self.file.read_exact(&mut buf).ok()?;
-                let buf = Arc::new(buf);
-                self.cache.put(loc.page, Arc::clone(&buf));
-                buf
-            }
-        };
-        Some(Arc::new(page_buf[start..end].to_vec()))
-    }
-
-    fn alloc_page(&mut self) -> u32 {
-        if let Some(page) = self.free.pop() {
-            return page;
-        }
-        let page = self.n_pages;
-        self.n_pages += 1;
-        page
-    }
-
-    /// Stage a record for the next flush. No disk I/O here — pages are
-    /// written (and fault-counted) in one deterministic pass by
-    /// [`PagedFile::flush`].
-    fn append(&mut self, hash: H256, payload: &[u8]) -> Result<(), WalError> {
-        if self.contains(hash) {
-            return Ok(());
-        }
-        let need = RECORD_HEADER + payload.len();
-        if need > PAGE_SIZE - PAGE_HEADER {
-            return Err(WalError::Io(format!(
-                "trie node too large for a page ({} bytes)",
-                payload.len()
-            )));
-        }
-        if PAGE_HEADER + self.tail_used as usize + need > PAGE_SIZE {
-            // Seal the tail and start a fresh page.
-            set_used(&mut self.tail_buf, self.tail_used);
-            let sealed = std::mem::replace(&mut self.tail_buf, blank_page());
-            self.pending.push((self.tail, sealed));
-            self.tail = self.alloc_page();
-            self.tail_used = 0;
-        }
-        let pos = PAGE_HEADER + self.tail_used as usize;
-        self.tail_buf[pos..pos + 2].copy_from_slice(&(payload.len() as u16).to_le_bytes());
-        self.tail_buf[pos + 2..pos + 34].copy_from_slice(&hash.0);
-        self.tail_buf[pos + RECORD_HEADER..pos + need].copy_from_slice(payload);
-        self.index.insert(
-            hash,
-            RecordLoc {
-                page: self.tail,
-                offset: pos as u32,
-                len: payload.len() as u32,
-            },
-        );
-        self.tail_used += need as u32;
-        self.record_bytes += need as u64;
-        Ok(())
-    }
-
-    /// Write every staged page (full pages in fill order, then the
-    /// tail), fsync once. After a successful flush all indexed records
-    /// are durable on disk — the caller then flips the root file to
-    /// commit them. On failure (including injected faults) every staged
-    /// page *stays* staged: the index keeps serving the buffered copies
-    /// and the next flush rewrites everything, so a crashed persist can
-    /// simply be retried at the next compaction.
-    fn flush(&mut self) -> Result<(), WalError> {
-        for (page, buf) in &self.pending {
-            // `used` was finalized when the page was sealed.
-            write_page_to(&mut self.file, &self.faults, *page, buf)?;
-        }
-        if self.tail_used > 0 {
-            set_used(&mut self.tail_buf, self.tail_used);
-            write_page_to(&mut self.file, &self.faults, self.tail, &self.tail_buf)?;
-        }
-        if self.faults.check_fsync() {
-            return Err(WalError::Injected("fsync".into()));
-        }
-        self.file
-            .sync_data()
-            .map_err(|e| io_err("fsync page file", e))?;
-        // Durable: sealed pages move to the cache; the tail keeps
-        // filling in place and is rewritten by the next flush.
-        for (page, buf) in std::mem::take(&mut self.pending) {
-            self.cache.put(page, Arc::new(buf));
-        }
-        Ok(())
-    }
-
-    /// Rewrite the file keeping only `live` records (tmp + fsync +
-    /// atomic rename), dropping every dead byte. The index, free list
-    /// and cache are rebuilt; `live` order fixes the new layout.
-    fn vacuum(&mut self, live: &[H256]) -> Result<(), WalError> {
-        let mut records: Vec<(H256, Vec<u8>)> = Vec::with_capacity(live.len());
-        for hash in live {
-            if let Some(payload) = self.get(*hash) {
-                records.push((*hash, payload.as_ref().clone()));
-            }
-        }
-        let mut file_bytes = Vec::new();
-        let mut index = FxHashMap::default();
-        let mut page_buf = blank_page();
-        let mut used = 0u32;
-        let mut page = 0u32;
-        let mut record_bytes = 0u64;
-        for (hash, payload) in records {
-            let need = RECORD_HEADER + payload.len();
-            if PAGE_HEADER + used as usize + need > PAGE_SIZE {
-                set_used(&mut page_buf, used);
-                file_bytes.extend_from_slice(&page_buf);
-                page_buf = blank_page();
-                used = 0;
-                page += 1;
-            }
-            let pos = PAGE_HEADER + used as usize;
-            page_buf[pos..pos + 2].copy_from_slice(&(payload.len() as u16).to_le_bytes());
-            page_buf[pos + 2..pos + 34].copy_from_slice(&hash.0);
-            page_buf[pos + RECORD_HEADER..pos + need].copy_from_slice(&payload);
-            index.insert(
-                hash,
-                RecordLoc {
-                    page,
-                    offset: pos as u32,
-                    len: payload.len() as u32,
-                },
-            );
-            used += need as u32;
-            record_bytes += need as u64;
-        }
-        if used > 0 {
-            set_used(&mut page_buf, used);
-            file_bytes.extend_from_slice(&page_buf);
-            page += 1;
-        }
-        wal::write_durable(&self.path, &file_bytes, &self.faults)?;
-        self.file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&self.path)
-            .map_err(|e| io_err("reopen page file", e))?;
-        self.index = index;
-        self.n_pages = page + 1;
-        self.free.clear();
-        self.tail = page;
-        self.tail_buf = blank_page();
-        self.tail_used = 0;
-        self.pending.clear();
-        self.cache.clear();
-        self.record_bytes = record_bytes;
-        Ok(())
-    }
-}
-
-// ---- the store -------------------------------------------------------
-
-/// Node store for the state trie: an unbounded in-memory overlay of
-/// nodes created since the last persist, over an optional paged disk
-/// file. In-memory nodes move to pages at persist (compaction) time;
-/// afterwards reads are served through the page cache, keeping resident
-/// memory at the cache budget.
-pub struct StateStore {
-    mem: FxHashMap<H256, Arc<Vec<u8>>>,
-    disk: Option<PagedFile>,
-    persisted: Option<(H256, u64)>,
-    /// In-memory node count above which the caller should GC dead
-    /// nodes (see [`StateStore::gc`]).
-    gc_watermark: usize,
-}
-
-impl StateStore {
-    /// A purely in-memory store (dev nodes, tests).
-    pub fn in_memory() -> StateStore {
-        StateStore {
-            mem: FxHashMap::default(),
-            disk: None,
-            persisted: None,
-            gc_watermark: 1 << 14,
-        }
-    }
-
-    /// Open the disk-backed store in `dir`, scanning (and verifying)
-    /// the page file and reading the committed root, if any.
-    pub fn open(dir: &Path, cache_bytes: usize, faults: Faults) -> Result<StateStore, WalError> {
-        let disk = PagedFile::open(dir.join(PAGES_FILE), cache_bytes, faults)?;
-        let persisted = read_root_file(&dir.join(ROOT_FILE));
-        Ok(StateStore {
-            mem: FxHashMap::default(),
-            disk: Some(disk),
-            persisted,
-            gc_watermark: 1 << 14,
-        })
-    }
-
-    /// True when backed by a page file.
-    pub fn is_disk_backed(&self) -> bool {
-        self.disk.is_some()
-    }
-
-    /// The root + block height committed by the root file, if any.
-    pub fn persisted_root(&self) -> Option<(H256, u64)> {
-        self.persisted
-    }
-
-    /// Number of nodes held in the in-memory overlay.
-    pub fn mem_len(&self) -> usize {
-        self.mem.len()
-    }
-
-    /// Current GC watermark (see [`StateStore::gc`]).
-    pub fn gc_watermark(&self) -> usize {
-        self.gc_watermark
-    }
-
-    /// Drop in-memory nodes not in `live` — dead intermediate hashes
-    /// from superseded trie paths. Does no I/O and never touches disk
-    /// pages (vacuum handles those); safe at any point.
-    pub fn gc(&mut self, live: &[H256]) {
-        let keep: std::collections::HashSet<&H256> = live.iter().collect();
-        self.mem.retain(|hash, _| keep.contains(hash));
-        self.gc_watermark = (self.mem.len() * 4).max(1 << 14);
-    }
-
-    /// Persist `live` (the exact reachable node set, deterministic
-    /// order) to pages, fsync, then atomically commit `root`/`block`
-    /// via the root file. On success the in-memory overlay is dropped —
-    /// every node is servable from disk through the page cache. On any
-    /// injected fault the root file still names the previous root, so
-    /// recovery ignores the partially-written pages (their records are
-    /// checksummed and merely unreachable).
-    pub fn persist(&mut self, root: H256, block: u64, live: &[H256]) -> Result<(), WalError> {
-        let Some(disk) = self.disk.as_mut() else {
-            return Ok(());
-        };
-        for hash in live {
-            if disk.contains(*hash) {
-                continue;
-            }
-            let Some(bytes) = self.mem.get(hash) else {
-                return Err(WalError::Corrupt(format!(
-                    "live trie node {hash} in neither memory nor pages"
-                )));
-            };
-            let bytes = Arc::clone(bytes);
-            disk.append(*hash, &bytes)?;
-        }
-        disk.flush()?;
-        let root_path = disk.path.with_file_name(ROOT_FILE);
-        let faults = disk.faults.clone();
-        wal::write_durable(&root_path, root_file_json(root, block).as_bytes(), &faults)?;
-        self.persisted = Some((root, block));
-        self.mem.clear();
-        self.gc_watermark = 1 << 14;
-        // Reclaim dead pages once they outweigh the live data.
-        let disk = self.disk.as_mut().expect("disk-backed");
-        let live_bytes: u64 = live
-            .iter()
-            .filter_map(|h| disk.index.get(h))
-            .map(|loc| u64::from(RECORD_HEADER as u32 + loc.len))
-            .sum();
-        let dead_bytes = disk.record_bytes.saturating_sub(live_bytes);
-        if dead_bytes > live_bytes && dead_bytes > 4 * PAGE_SIZE as u64 {
-            disk.vacuum(live)?;
-        }
-        Ok(())
-    }
-}
-
-impl NodeStore for StateStore {
-    fn node(&mut self, hash: H256) -> Option<Arc<Vec<u8>>> {
-        if let Some(bytes) = self.mem.get(&hash) {
-            return Some(Arc::clone(bytes));
-        }
-        self.disk.as_mut()?.get(hash)
-    }
-
-    fn insert_node(&mut self, bytes: Vec<u8>) -> H256 {
-        let hash = H256::keccak(&bytes);
-        if self.mem.contains_key(&hash) || self.disk.as_ref().is_some_and(|d| d.contains(hash)) {
-            return hash;
-        }
-        self.mem.insert(hash, Arc::new(bytes));
-        hash
-    }
-}
-
-fn root_file_json(root: H256, block: u64) -> String {
-    JsonValue::object([
-        ("block", JsonValue::Number(block as f64)),
-        ("root", JsonValue::String(root.to_string())),
-    ])
-    .to_json()
-}
-
-fn read_root_file(path: &Path) -> Option<(H256, u64)> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let doc = parse(&text).ok()?;
-    let root: H256 = match doc.get("root") {
-        Some(JsonValue::String(s)) => s.parse().ok()?,
-        _ => return None,
-    };
-    let block = match doc.get("block") {
-        Some(JsonValue::Number(n)) if *n >= 0.0 => *n as u64,
-        _ => return None,
-    };
-    Some((root, block))
-}
-
-// ---- the two-level state trie ----------------------------------------
+use lsc_primitives::{Address, FxHashMap, FxHashSet, H256, U256};
 
 /// The authenticated view of world state: one account trie whose leaves
 /// commit each account's balance/nonce/code-hash/storage-root, plus a
@@ -585,14 +36,6 @@ impl StateTrie {
         }
     }
 
-    /// Adopt a persisted account-trie root (nodes already in `store`).
-    pub fn from_root(root: H256) -> StateTrie {
-        StateTrie {
-            accounts: Trie::from_root(root),
-            storage: FxHashMap::default(),
-        }
-    }
-
     /// Current state root ([`H256::ZERO`] when empty).
     pub fn root(&self) -> H256 {
         self.accounts.root()
@@ -600,11 +43,7 @@ impl StateTrie {
 
     /// The account's storage trie: cached, or recovered from its
     /// account leaf's committed storage root.
-    fn storage_trie(
-        &mut self,
-        store: &mut StateStore,
-        address: Address,
-    ) -> Result<Trie, TrieError> {
+    fn storage_trie(&self, store: &MemNodes, address: Address) -> Result<Trie, TrieError> {
         if let Some(trie) = self.storage.get(&address) {
             return Ok(*trie);
         }
@@ -622,11 +61,10 @@ impl StateTrie {
     /// root. `Some(slots)` dirt updates exactly those slots
     /// incrementally; `None` rebuilds the account's storage trie from
     /// the world state. Iteration order is fixed (sorted addresses and
-    /// slots) so the node-creation sequence — and with it the persist
-    /// I/O schedule the fault sweep enumerates — is deterministic.
+    /// slots) so the node-creation sequence is deterministic.
     pub fn apply(
         &mut self,
-        store: &mut StateStore,
+        store: &mut MemNodes,
         state: &WorldState,
         dirty: &FxHashMap<Address, TrieDirt>,
     ) -> Result<H256, TrieError> {
@@ -638,20 +76,10 @@ impl StateTrie {
                 self.storage.remove(&address);
                 continue;
             };
-            let mut storage_trie = match &dirty[&address] {
-                None => Trie::empty(),
-                Some(_) => self.storage_trie(store, address)?,
-            };
-            match &dirty[&address] {
-                None => {
-                    let mut slots: Vec<(U256, U256)> =
-                        account.storage.iter().map(|(k, v)| (*k, *v)).collect();
-                    slots.sort_by_key(|(k, _)| k.to_be_bytes());
-                    for (slot, value) in slots {
-                        storage_trie.insert(store, storage_key(slot), &encode_slot_value(value))?;
-                    }
-                }
+            let storage_trie = match &dirty[&address] {
+                None => storage_trie_of(store, account),
                 Some(touched) => {
+                    let mut storage_trie = self.storage_trie(store, address)?;
                     let mut touched: Vec<U256> = touched.iter().copied().collect();
                     touched.sort_by_key(U256::to_be_bytes);
                     for slot in touched {
@@ -668,14 +96,10 @@ impl StateTrie {
                             }
                         }
                     }
+                    storage_trie
                 }
-            }
-            let data = AccountData {
-                balance: account.balance,
-                nonce: account.nonce,
-                code_hash: state.code_hash(address),
-                storage_root: storage_trie.root(),
             };
+            let data = leaf_data(state, address, account, storage_trie);
             self.accounts
                 .insert(store, account_key(address), &encode_account(&data))?;
             self.storage.insert(address, storage_trie);
@@ -683,40 +107,54 @@ impl StateTrie {
         Ok(self.accounts.root())
     }
 
-    /// Rebuild the whole trie from a world state — recovery's fallback
-    /// path. The trie is canonical, so this lands on the bit-identical
+    /// Build the whole trie from a world state in one bottom-up pass
+    /// (see [`Trie::from_sorted`]): each storage trie from its slots
+    /// sorted by key, then the account trie from the accounts sorted by
+    /// key. The trie is canonical, so this lands on the bit-identical
     /// root an incremental history of the same state produced.
-    pub fn rebuild_from(
-        store: &mut StateStore,
-        state: &WorldState,
-    ) -> Result<StateTrie, TrieError> {
-        let mut trie = StateTrie::new();
-        let mut dirty: FxHashMap<Address, TrieDirt> = FxHashMap::default();
-        for (address, _) in state.iter_accounts() {
-            dirty.insert(*address, None);
+    pub fn rebuild_from(store: &mut MemNodes, state: &WorldState) -> StateTrie {
+        let mut storage = FxHashMap::default();
+        let mut leaves: Vec<(H256, Vec<u8>)> = state
+            .iter_accounts()
+            .map(|(address, account)| {
+                let storage_trie = storage_trie_of(store, account);
+                storage.insert(*address, storage_trie);
+                let data = leaf_data(state, *address, account, storage_trie);
+                (account_key(*address), encode_account(&data))
+            })
+            .collect();
+        leaves.sort_unstable_by_key(|(key, _)| *key);
+        StateTrie {
+            accounts: Trie::from_sorted(store, &leaves),
+            storage,
         }
-        trie.apply(store, state, &dirty)?;
-        Ok(trie)
     }
 
     /// Every node reachable from the current root, depth-first, account
     /// trie first then each storage trie (discovered by decoding the
     /// account leaves — storage roots are leaf *data*, not child
-    /// pointers). This is the exact set [`StateStore::persist`] must
-    /// move to disk, and walking it doubles as a full verification of
-    /// an adopted on-disk trie.
-    pub fn live_nodes(&self, store: &mut StateStore) -> Result<Vec<H256>, TrieError> {
+    /// pointers). Each node appears once: subtrees shared between
+    /// storage tries (accounts with identical storage) are walked once.
+    /// This is the live set [`MemNodes::gc`] keeps.
+    pub fn live_nodes(&self, store: &MemNodes) -> Result<Vec<H256>, TrieError> {
+        let mut seen = FxHashSet::default();
         let mut out = Vec::new();
         let mut storage_roots = Vec::new();
-        collect_subtree(store, self.accounts.root(), &mut out, &mut |payload| {
-            if let Some(account) = decode_account(payload) {
-                if !account.storage_root.is_zero() {
-                    storage_roots.push(account.storage_root);
+        collect_subtree(
+            store,
+            self.accounts.root(),
+            &mut seen,
+            &mut out,
+            &mut |payload| {
+                if let Some(account) = decode_account(payload) {
+                    if !account.storage_root.is_zero() {
+                        storage_roots.push(account.storage_root);
+                    }
                 }
-            }
-        })?;
+            },
+        )?;
         for root in storage_roots {
-            collect_subtree(store, root, &mut out, &mut |_| {})?;
+            collect_subtree(store, root, &mut seen, &mut out, &mut |_| {})?;
         }
         Ok(out)
     }
@@ -724,7 +162,7 @@ impl StateTrie {
     /// Merkle proof for an account leaf.
     pub fn prove_account(
         &self,
-        store: &mut StateStore,
+        store: &MemNodes,
         address: Address,
     ) -> Result<Vec<Vec<u8>>, TrieError> {
         self.accounts.prove(store, account_key(address))
@@ -733,7 +171,7 @@ impl StateTrie {
     /// The committed account data, if the account is in the trie.
     pub fn account_data(
         &self,
-        store: &mut StateStore,
+        store: &MemNodes,
         address: Address,
     ) -> Result<Option<AccountData>, TrieError> {
         match self.accounts.get(store, account_key(address))? {
@@ -746,13 +184,39 @@ impl StateTrie {
 
     /// Merkle proof for a storage slot under an account's storage root.
     pub fn prove_storage(
-        &mut self,
-        store: &mut StateStore,
+        &self,
+        store: &MemNodes,
         address: Address,
         slot: U256,
     ) -> Result<Vec<Vec<u8>>, TrieError> {
-        let storage_trie = self.storage_trie(store, address)?;
-        storage_trie.prove(store, storage_key(slot))
+        self.storage_trie(store, address)?
+            .prove(store, storage_key(slot))
+    }
+}
+
+/// Bulk-build one account's storage trie from its slots.
+fn storage_trie_of(store: &mut MemNodes, account: &Account) -> Trie {
+    let mut slots: Vec<(H256, [u8; 32])> = account
+        .storage
+        .iter()
+        .map(|(slot, value)| (storage_key(*slot), value.to_be_bytes()))
+        .collect();
+    slots.sort_unstable_by_key(|(key, _)| *key);
+    Trie::from_sorted(store, &slots)
+}
+
+/// What an account's leaf commits to, given its storage trie.
+fn leaf_data(
+    state: &WorldState,
+    address: Address,
+    account: &Account,
+    storage_trie: Trie,
+) -> AccountData {
+    AccountData {
+        balance: account.balance,
+        nonce: account.nonce,
+        code_hash: state.code_hash(address),
+        storage_root: storage_trie.root(),
     }
 }
 
@@ -786,8 +250,9 @@ pub struct StorageProof {
 }
 
 fn collect_subtree(
-    store: &mut StateStore,
+    store: &MemNodes,
     root: H256,
+    seen: &mut FxHashSet<H256>,
     out: &mut Vec<H256>,
     on_leaf_value: &mut impl FnMut(&[u8]),
 ) -> Result<(), TrieError> {
@@ -796,6 +261,9 @@ fn collect_subtree(
     }
     let mut stack = vec![root];
     while let Some(hash) = stack.pop() {
+        if !seen.insert(hash) {
+            continue; // a shared subtree, already walked
+        }
         let bytes = store.node(hash).ok_or(TrieError::MissingNode(hash))?;
         out.push(hash);
         match bytes.first() {
@@ -818,29 +286,10 @@ mod tests {
     use super::*;
     use crate::trie::verify_proof;
 
-    fn temp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("lsc-store-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    fn world_with(n: u64) -> WorldState {
-        let mut state = WorldState::new();
-        for i in 0..n {
-            let address = Address::from_label(&format!("acct-{i}"));
-            state.credit(address, U256::from_u64(1000 + i));
-            state.set_nonce(address, i);
-            state.set_storage(address, U256::from_u64(i), U256::from_u64(i * 7 + 1));
-        }
-        state.commit();
-        state
-    }
-
     #[test]
     fn incremental_apply_matches_scratch_rebuild() {
         let mut state = WorldState::new();
-        let mut store = StateStore::in_memory();
+        let mut store = MemNodes::new();
         let mut trie = StateTrie::new();
         let a = Address::from_label("inc-a");
         let b = Address::from_label("inc-b");
@@ -853,15 +302,14 @@ mod tests {
         state.commit();
         let dirt = state.take_trie_dirty();
         let incremental = trie.apply(&mut store, &state, &dirt).unwrap();
-        let mut scratch_store = StateStore::in_memory();
-        let scratch = StateTrie::rebuild_from(&mut scratch_store, &state).unwrap();
+        let scratch = StateTrie::rebuild_from(&mut MemNodes::new(), &state);
         assert_eq!(incremental, scratch.root());
     }
 
     #[test]
     fn destroy_account_removes_leaf() {
         let mut state = WorldState::new();
-        let mut store = StateStore::in_memory();
+        let mut store = MemNodes::new();
         let mut trie = StateTrie::new();
         let a = Address::from_label("gone");
         state.credit(a, U256::from_u64(1));
@@ -878,140 +326,8 @@ mod tests {
     }
 
     #[test]
-    fn persist_and_reopen_serves_all_nodes() {
-        let dir = temp_dir("reopen");
-        let state = world_with(50);
-        let root;
-        {
-            let mut store = StateStore::open(&dir, DEFAULT_CACHE_BYTES, Faults::none()).unwrap();
-            let trie = StateTrie::rebuild_from(&mut store, &state).unwrap();
-            root = trie.root();
-            let live = trie.live_nodes(&mut store).unwrap();
-            store.persist(root, 1, &live).unwrap();
-            assert_eq!(store.mem_len(), 0, "overlay cleared after persist");
-        }
-        let mut store = StateStore::open(&dir, DEFAULT_CACHE_BYTES, Faults::none()).unwrap();
-        assert_eq!(store.persisted_root(), Some((root, 1)));
-        let trie = StateTrie::from_root(root);
-        let live = trie.live_nodes(&mut store).unwrap();
-        assert!(!live.is_empty());
-        // Every account provable straight off the reopened pages.
-        for (address, account) in state.iter_accounts() {
-            let proof = trie.prove_account(&mut store, *address).unwrap();
-            let value = verify_proof(root, account_key(*address), &proof)
-                .unwrap()
-                .expect("account present");
-            let data = decode_account(&value).unwrap();
-            assert_eq!(data.balance, account.balance);
-            assert_eq!(data.nonce, account.nonce);
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn tiny_cache_budget_still_serves_reads() {
-        let dir = temp_dir("tiny-cache");
-        let state = world_with(200);
-        let root;
-        {
-            let mut store = StateStore::open(&dir, DEFAULT_CACHE_BYTES, Faults::none()).unwrap();
-            let trie = StateTrie::rebuild_from(&mut store, &state).unwrap();
-            root = trie.root();
-            let live = trie.live_nodes(&mut store).unwrap();
-            store.persist(root, 1, &live).unwrap();
-        }
-        // One-page budget: constant resident memory, correctness intact.
-        let mut store = StateStore::open(&dir, PAGE_SIZE, Faults::none()).unwrap();
-        let trie = StateTrie::from_root(root);
-        for (address, _) in state.iter_accounts() {
-            let proof = trie.prove_account(&mut store, *address).unwrap();
-            assert!(verify_proof(root, account_key(*address), &proof)
-                .unwrap()
-                .is_some());
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn unreachable_root_file_means_no_adoption() {
-        let dir = temp_dir("no-root");
-        let store = StateStore::open(&dir, DEFAULT_CACHE_BYTES, Faults::none()).unwrap();
-        assert_eq!(store.persisted_root(), None);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn torn_page_drops_its_records_only() {
-        let dir = temp_dir("torn-page");
-        let state = world_with(300); // enough accounts to span pages
-        let root;
-        {
-            let mut store = StateStore::open(&dir, DEFAULT_CACHE_BYTES, Faults::none()).unwrap();
-            let trie = StateTrie::rebuild_from(&mut store, &state).unwrap();
-            root = trie.root();
-            let live = trie.live_nodes(&mut store).unwrap();
-            store.persist(root, 1, &live).unwrap();
-        }
-        // Corrupt the second page wholesale.
-        let path = dir.join(PAGES_FILE);
-        let mut bytes = std::fs::read(&path).unwrap();
-        assert!(bytes.len() > 2 * PAGE_SIZE, "need multiple pages");
-        for b in &mut bytes[PAGE_SIZE..2 * PAGE_SIZE] {
-            *b = 0xff;
-        }
-        std::fs::write(&path, &bytes).unwrap();
-        let mut store = StateStore::open(&dir, DEFAULT_CACHE_BYTES, Faults::none()).unwrap();
-        // The root file still commits `root`, but the walk must fail —
-        // which is exactly the signal recovery uses to fall back to a
-        // canonical rebuild.
-        let trie = StateTrie::from_root(root);
-        assert!(trie.live_nodes(&mut store).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn vacuum_reclaims_dead_bytes() {
-        let dir = temp_dir("vacuum");
-        let mut store = StateStore::open(&dir, DEFAULT_CACHE_BYTES, Faults::none()).unwrap();
-        let mut state = WorldState::new();
-        let a = Address::from_label("churn");
-        let mut trie = StateTrie::new();
-        // Lots of superseded versions of one account: every persist
-        // leaves the previous block's nodes dead on disk.
-        for round in 0..200u64 {
-            for slot in 0..64u64 {
-                state.set_storage(
-                    a,
-                    U256::from_u64(slot),
-                    U256::from_u64(round * 64 + slot + 1),
-                );
-            }
-            state.commit();
-            let dirt = state.take_trie_dirty();
-            let root = trie.apply(&mut store, &state, &dirt).unwrap();
-            let live = trie.live_nodes(&mut store).unwrap();
-            store.persist(root, round, &live).unwrap();
-        }
-        let final_root = trie.root();
-        let live = trie.live_nodes(&mut store).unwrap();
-        let live_bytes: u64 = live.len() as u64 * PAGE_SIZE as u64; // loose upper bound
-        let file_len = std::fs::metadata(dir.join(PAGES_FILE)).unwrap().len();
-        assert!(
-            file_len < live_bytes * 4,
-            "vacuum kept the file near the live set ({file_len} bytes for {} nodes)",
-            live.len()
-        );
-        // Everything still reachable after however many vacuums ran.
-        drop(store);
-        let mut store = StateStore::open(&dir, DEFAULT_CACHE_BYTES, Faults::none()).unwrap();
-        let trie = StateTrie::from_root(final_root);
-        trie.live_nodes(&mut store).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn gc_drops_only_dead_overlay_nodes() {
-        let mut store = StateStore::in_memory();
+        let mut store = MemNodes::new();
         let mut state = WorldState::new();
         let mut trie = StateTrie::new();
         let a = Address::from_label("gc");
@@ -1021,15 +337,42 @@ mod tests {
             let dirt = state.take_trie_dirty();
             trie.apply(&mut store, &state, &dirt).unwrap();
         }
-        let before = store.mem_len();
-        let live = trie.live_nodes(&mut store).unwrap();
+        let before = store.len();
+        let live = trie.live_nodes(&store).unwrap();
         store.gc(&live);
-        assert!(store.mem_len() < before, "dead versions dropped");
-        assert_eq!(store.mem_len(), live.len());
+        assert!(store.len() < before, "dead versions dropped");
+        assert_eq!(store.len(), live.len());
         // Proofs still work over the retained set.
-        let proof = trie.prove_account(&mut store, a).unwrap();
+        let proof = trie.prove_account(&store, a).unwrap();
         assert!(verify_proof(trie.root(), account_key(a), &proof)
             .unwrap()
             .is_some());
+    }
+
+    #[test]
+    fn live_set_walks_shared_storage_once() {
+        let mut state = WorldState::new();
+        let twins = [Address::from_label("twin-a"), Address::from_label("twin-b")];
+        for address in twins {
+            state.credit(address, U256::ONE);
+            for slot in 0..16u64 {
+                state.set_storage(address, U256::from_u64(slot), U256::from_u64(slot + 1));
+            }
+        }
+        state.commit();
+        let mut store = MemNodes::new();
+        let trie = StateTrie::rebuild_from(&mut store, &state);
+        let storage_root = |address| {
+            trie.account_data(&store, address)
+                .unwrap()
+                .unwrap()
+                .storage_root
+        };
+        assert_eq!(storage_root(twins[0]), storage_root(twins[1]));
+        let live = trie.live_nodes(&store).unwrap();
+        let distinct: FxHashSet<H256> = live.iter().copied().collect();
+        assert_eq!(live.len(), distinct.len(), "no node listed twice");
+        // A bulk build leaves no garbage: the live set is the whole store.
+        assert_eq!(live.len(), store.len());
     }
 }

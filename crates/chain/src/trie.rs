@@ -10,8 +10,8 @@
 //! bit-identical root the crashed process had committed.
 //!
 //! Nodes are content-addressed: `hash = keccak(encoding)`, and the
-//! encoding is the node's identity in the [`NodeStore`]. Two encodings
-//! exist:
+//! encoding is the node's identity in the [`MemNodes`] store. Two
+//! encodings exist:
 //!
 //! * Leaf:   `[0x00][key: 32 bytes][value: remaining bytes]`
 //! * Branch: `[0x01][bit: u16 BE][left: 32 bytes][right: 32 bytes]`
@@ -30,20 +30,7 @@
 //! key. No node, no store, no chain required: a court-side auditor can
 //! run it over a header's `state_root` and a serialized proof alone.
 
-use lsc_primitives::{Address, FxHashMap, H256, U256};
-use std::sync::Arc;
-
-/// Backing storage for trie nodes, keyed by content hash.
-///
-/// Methods take `&mut self` because disk-backed implementations update
-/// an LRU page cache on reads.
-pub trait NodeStore {
-    /// Fetch a node's encoding by hash, `None` if absent.
-    fn node(&mut self, hash: H256) -> Option<Arc<Vec<u8>>>;
-    /// Insert an encoding, returning its content hash. Inserting the
-    /// same bytes twice is idempotent.
-    fn insert_node(&mut self, bytes: Vec<u8>) -> H256;
-}
+use lsc_primitives::{Address, FxHashMap, FxHashSet, H256, U256};
 
 /// Why a trie operation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -156,7 +143,7 @@ fn first_diff_bit(a: &H256, b: &H256) -> u16 {
 }
 
 /// A handle to one authenticated map: just the root hash; all nodes
-/// live in the [`NodeStore`].
+/// live in the [`MemNodes`] store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Trie {
     root: H256,
@@ -168,9 +155,25 @@ impl Trie {
         Trie { root: H256::ZERO }
     }
 
-    /// A trie rooted at a known hash (e.g. adopted from disk).
+    /// A trie rooted at a known hash whose nodes are already in the
+    /// store (e.g. a storage root read from an account leaf).
     pub fn from_root(root: H256) -> Trie {
         Trie { root }
+    }
+
+    /// Build the trie holding exactly `entries` in one bottom-up pass:
+    /// every node is hashed once, where inserting key by key re-hashes
+    /// the whole path on each insert. `entries` must be sorted by key
+    /// with no key repeated; the trie is canonical, so the root equals
+    /// the one any insertion order produces.
+    pub fn from_sorted<V: AsRef<[u8]>>(store: &mut MemNodes, entries: &[(H256, V)]) -> Trie {
+        assert!(
+            entries.windows(2).all(|w| w[0].0 < w[1].0),
+            "bulk trie build needs sorted, distinct keys"
+        );
+        Trie {
+            root: build_subtree(store, entries),
+        }
     }
 
     /// Current root hash; [`H256::ZERO`] when empty.
@@ -183,13 +186,13 @@ impl Trie {
         self.root.is_zero()
     }
 
-    fn load(store: &mut impl NodeStore, hash: H256) -> Result<Node, TrieError> {
+    fn load(store: &MemNodes, hash: H256) -> Result<Node, TrieError> {
         let bytes = store.node(hash).ok_or(TrieError::MissingNode(hash))?;
-        decode_node(&bytes).ok_or(TrieError::BadNode(hash))
+        decode_node(bytes).ok_or(TrieError::BadNode(hash))
     }
 
     /// Look up the value bound to `key`.
-    pub fn get(&self, store: &mut impl NodeStore, key: H256) -> Result<Option<Vec<u8>>, TrieError> {
+    pub fn get(&self, store: &MemNodes, key: H256) -> Result<Option<Vec<u8>>, TrieError> {
         if self.root.is_zero() {
             return Ok(None);
         }
@@ -210,7 +213,7 @@ impl Trie {
     /// the new root.
     pub fn insert(
         &mut self,
-        store: &mut impl NodeStore,
+        store: &mut MemNodes,
         key: H256,
         value: &[u8],
     ) -> Result<H256, TrieError> {
@@ -272,7 +275,7 @@ impl Trie {
     }
 
     /// Remove `key`'s binding, if any. Returns the new root.
-    pub fn remove(&mut self, store: &mut impl NodeStore, key: H256) -> Result<H256, TrieError> {
+    pub fn remove(&mut self, store: &mut MemNodes, key: H256) -> Result<H256, TrieError> {
         if self.root.is_zero() {
             return Ok(self.root);
         }
@@ -313,7 +316,7 @@ impl Trie {
     /// root first. Valid for both inclusion (terminal leaf holds `key`)
     /// and non-inclusion (terminal leaf holds a different key, or the
     /// trie is empty and the proof is empty).
-    pub fn prove(&self, store: &mut impl NodeStore, key: H256) -> Result<Vec<Vec<u8>>, TrieError> {
+    pub fn prove(&self, store: &MemNodes, key: H256) -> Result<Vec<Vec<u8>>, TrieError> {
         let mut proof = Vec::new();
         if self.root.is_zero() {
             return Ok(proof);
@@ -321,13 +324,30 @@ impl Trie {
         let mut cursor = self.root;
         loop {
             let bytes = store.node(cursor).ok_or(TrieError::MissingNode(cursor))?;
-            proof.push(bytes.as_ref().clone());
-            match decode_node(&bytes).ok_or(TrieError::BadNode(cursor))? {
+            proof.push(bytes.to_vec());
+            match decode_node(bytes).ok_or(TrieError::BadNode(cursor))? {
                 Node::Leaf { .. } => return Ok(proof),
                 Node::Branch { bit, left, right } => {
                     cursor = if key_bit(&key, bit) { right } else { left };
                 }
             }
+        }
+    }
+}
+
+/// Hash of the subtree holding exactly `entries` (sorted, distinct
+/// keys): its crit-bit is the first bit where the smallest and largest
+/// key differ, and the keys with that bit clear form a sorted prefix.
+fn build_subtree<V: AsRef<[u8]>>(store: &mut MemNodes, entries: &[(H256, V)]) -> H256 {
+    match entries {
+        [] => H256::ZERO,
+        [(key, value)] => store.insert_node(encode_leaf(*key, value.as_ref())),
+        [(first, _), .., (last, _)] => {
+            let bit = first_diff_bit(first, last);
+            let split = entries.partition_point(|(key, _)| !key_bit(key, bit));
+            let left = build_subtree(store, &entries[..split]);
+            let right = build_subtree(store, &entries[split..]);
+            store.insert_node(encode_branch(bit, left, right))
         }
     }
 }
@@ -441,18 +461,35 @@ pub fn decode_slot_value(bytes: &[u8]) -> Option<U256> {
     Some(U256::from_be_slice(bytes))
 }
 
-// ---- in-memory store -------------------------------------------------
+// ---- node store ------------------------------------------------------
 
-/// Simple hash-map node store — unit tests and scratch rebuilds.
-#[derive(Debug, Default)]
+/// Minimum [`MemNodes::gc_watermark`].
+const MIN_GC_WATERMARK: usize = 1 << 14;
+
+/// The trie's node store: one in-memory map from content hash to node
+/// encoding. Superseded nodes stay until [`MemNodes::gc`] drops
+/// everything the caller's live set does not name.
+#[derive(Debug)]
 pub struct MemNodes {
-    nodes: FxHashMap<H256, Arc<Vec<u8>>>,
+    nodes: FxHashMap<H256, Vec<u8>>,
+    /// Node count above which the caller should GC (see
+    /// [`MemNodes::gc`]).
+    gc_watermark: usize,
+}
+
+impl Default for MemNodes {
+    fn default() -> Self {
+        MemNodes::new()
+    }
 }
 
 impl MemNodes {
     /// An empty store.
     pub fn new() -> MemNodes {
-        MemNodes::default()
+        MemNodes {
+            nodes: FxHashMap::default(),
+            gc_watermark: MIN_GC_WATERMARK,
+        }
     }
 
     /// Number of distinct nodes held.
@@ -464,17 +501,33 @@ impl MemNodes {
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
-}
 
-impl NodeStore for MemNodes {
-    fn node(&mut self, hash: H256) -> Option<Arc<Vec<u8>>> {
-        self.nodes.get(&hash).cloned()
+    /// Fetch a node's encoding by hash, `None` if absent.
+    pub fn node(&self, hash: H256) -> Option<&[u8]> {
+        self.nodes.get(&hash).map(Vec::as_slice)
     }
 
-    fn insert_node(&mut self, bytes: Vec<u8>) -> H256 {
+    /// Insert an encoding, returning its content hash. Inserting the
+    /// same bytes twice is idempotent.
+    pub fn insert_node(&mut self, bytes: Vec<u8>) -> H256 {
         let hash = H256::keccak(&bytes);
-        self.nodes.entry(hash).or_insert_with(|| Arc::new(bytes));
+        self.nodes.entry(hash).or_insert(bytes);
         hash
+    }
+
+    /// Current GC watermark: the caller should collect once
+    /// [`MemNodes::len`] exceeds it.
+    pub fn gc_watermark(&self) -> usize {
+        self.gc_watermark
+    }
+
+    /// Drop every node not in `live` — dead intermediate hashes from
+    /// superseded trie paths — and raise the watermark to four times
+    /// the surviving set, so collections stay amortized.
+    pub fn gc(&mut self, live: &[H256]) {
+        let keep: FxHashSet<&H256> = live.iter().collect();
+        self.nodes.retain(|hash, _| keep.contains(hash));
+        self.gc_watermark = (self.nodes.len() * 4).max(MIN_GC_WATERMARK);
     }
 }
 
@@ -488,11 +541,11 @@ mod tests {
 
     #[test]
     fn empty_trie_semantics() {
-        let mut store = MemNodes::new();
+        let store = MemNodes::new();
         let trie = Trie::empty();
         assert!(trie.is_empty());
-        assert_eq!(trie.get(&mut store, key(1)).unwrap(), None);
-        let proof = trie.prove(&mut store, key(1)).unwrap();
+        assert_eq!(trie.get(&store, key(1)).unwrap(), None);
+        let proof = trie.prove(&store, key(1)).unwrap();
         assert!(proof.is_empty());
         assert_eq!(verify_proof(H256::ZERO, key(1), &proof).unwrap(), None);
         assert!(verify_proof(H256::ZERO, key(1), &[vec![0]]).is_err());
@@ -507,12 +560,12 @@ mod tests {
         }
         for i in 0..100u64 {
             assert_eq!(
-                trie.get(&mut store, key(i)).unwrap(),
+                trie.get(&store, key(i)).unwrap(),
                 Some(i.to_be_bytes().to_vec()),
                 "key {i}"
             );
         }
-        assert_eq!(trie.get(&mut store, key(1000)).unwrap(), None);
+        assert_eq!(trie.get(&store, key(1000)).unwrap(), None);
     }
 
     #[test]
@@ -543,7 +596,7 @@ mod tests {
         let r1 = trie.root();
         trie.insert(&mut store, key(1), b"new").unwrap();
         assert_ne!(trie.root(), r1);
-        assert_eq!(trie.get(&mut store, key(1)).unwrap(), Some(b"new".to_vec()));
+        assert_eq!(trie.get(&store, key(1)).unwrap(), Some(b"new".to_vec()));
         // Replacing back restores the original root (canonical).
         trie.insert(&mut store, key(1), b"old").unwrap();
         assert_eq!(trie.root(), r1);
@@ -580,7 +633,7 @@ mod tests {
         let root = trie.root();
         // Inclusion.
         for i in [0u64, 7, 23, 49] {
-            let proof = trie.prove(&mut store, key(i)).unwrap();
+            let proof = trie.prove(&store, key(i)).unwrap();
             assert_eq!(
                 verify_proof(root, key(i), &proof).unwrap(),
                 Some(i.to_be_bytes().to_vec())
@@ -588,10 +641,10 @@ mod tests {
         }
         // Non-inclusion.
         let absent = key(999);
-        let proof = trie.prove(&mut store, absent).unwrap();
+        let proof = trie.prove(&store, absent).unwrap();
         assert_eq!(verify_proof(root, absent, &proof).unwrap(), None);
         // Tampered value byte → hash mismatch.
-        let mut proof = trie.prove(&mut store, key(3)).unwrap();
+        let mut proof = trie.prove(&store, key(3)).unwrap();
         let last = proof.len() - 1;
         let end = proof[last].len() - 1;
         proof[last][end] ^= 1;
@@ -600,20 +653,20 @@ mod tests {
             Err(ProofError::HashMismatch)
         );
         // Wrong root → rejected at the first node.
-        let proof = trie.prove(&mut store, key(3)).unwrap();
+        let proof = trie.prove(&store, key(3)).unwrap();
         assert_eq!(
             verify_proof(H256::keccak(b"bogus"), key(3), &proof),
             Err(ProofError::HashMismatch)
         );
         // Truncated proof → rejected.
-        let mut proof = trie.prove(&mut store, key(3)).unwrap();
+        let mut proof = trie.prove(&store, key(3)).unwrap();
         proof.pop();
         assert!(matches!(
             verify_proof(root, key(3), &proof),
             Err(ProofError::Truncated | ProofError::HashMismatch)
         ));
         // Trailing junk → rejected.
-        let mut proof = trie.prove(&mut store, key(3)).unwrap();
+        let mut proof = trie.prove(&store, key(3)).unwrap();
         proof.push(vec![0xff]);
         assert_eq!(
             verify_proof(root, key(3), &proof),
@@ -630,7 +683,7 @@ mod tests {
         trie.insert(&mut store, key(1), b"one").unwrap();
         trie.insert(&mut store, key(2), b"two").unwrap();
         let root = trie.root();
-        let proof_for_1 = trie.prove(&mut store, key(1)).unwrap();
+        let proof_for_1 = trie.prove(&store, key(1)).unwrap();
         // Verifying key 2 against key 1's proof either fails outright or
         // (if the paths share every branch) reports the honest value.
         if let Ok(v) = verify_proof(root, key(2), &proof_for_1) {

@@ -65,8 +65,9 @@ fn threshold_one_compacts_after_every_block() {
     transfer(&mut node);
     // Old snapshots are pruned: exactly one (the newest) remains.
     assert_eq!(snapshot_count(&dir), 1, "superseded snapshot pruned");
-    // The page store's commit point exists alongside the snapshot.
-    assert!(dir.join("state.root").exists(), "trie root persisted");
+    // The snapshot is the only state image on disk: the trie is
+    // rebuilt from it at restart, never persisted.
+    assert!(!dir.join("state.pages").exists(), "no trie page file");
 
     // Recovery over the auto-compacted layout is bit-identical.
     let expected = node.export_state();

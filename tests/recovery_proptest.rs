@@ -214,11 +214,9 @@ proptest! {
         );
 
         // Every run ends with a compaction and one more block, so the
-        // paged state store's persist sequence (page appends, the page
-        // fsync, the `state.root` tmp-write/fsync/rename) is always in
-        // the enumerated crash-point set — a crash between the snapshot
-        // rename and the root-file flip must recover bit-identically
-        // via the rebuild fallback.
+        // snapshot's tmp-write/fsync/rename is always in the enumerated
+        // crash-point set, and the final recovery rebuilds the trie
+        // from a snapshot image and replays a log tail on top of it.
         let mut ops = ops;
         ops.push(Op::Compact);
         ops.push(Op::Mine);
@@ -302,13 +300,60 @@ proptest! {
     }
 }
 
-/// Restart equivalence for the authenticated state store: recovering by
-/// *adopting* the persisted trie pages and recovering by *rebuilding*
-/// the trie from the imported world state (persisted root deleted) must
-/// produce bit-identical nodes — same image, same block hashes, same
-/// state root, and proofs generated by either verify against it.
+/// Rewrite `dir` (a compacted data directory) into the layout of
+/// releases that persisted the trie in a page store: `meta.json` gains
+/// the `state_cache_bytes` knob, the snapshot image gains the
+/// `state_root` field (re-checksummed, as those releases wrote it), and
+/// `state.pages`/`state.root` sit beside the log.
+fn dress_as_legacy(dir: &Path, root: lsc_primitives::H256, head: u64) {
+    use lsc_abi::json::{parse, JsonValue};
+    use lsc_primitives::{hex, keccak256};
+
+    let meta_path = dir.join("meta.json");
+    let mut meta = parse(&std::fs::read_to_string(&meta_path).unwrap()).unwrap();
+    let JsonValue::Object(fields) = &mut meta else {
+        panic!("meta.json is an object");
+    };
+    fields.insert("state_cache_bytes".into(), JsonValue::Number(16_777_216.0));
+    std::fs::write(&meta_path, meta.to_json()).unwrap();
+
+    let snapshots: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| {
+            let name = path.file_name().unwrap().to_string_lossy();
+            name.starts_with("snapshot-") && name.ends_with(".json")
+        })
+        .collect();
+    assert_eq!(snapshots.len(), 1, "the workload compacted once");
+    let image = parse(&std::fs::read_to_string(&snapshots[0]).unwrap()).unwrap();
+    let mut state = image.get("state").expect("image has a state").clone();
+    let JsonValue::Object(fields) = &mut state else {
+        panic!("image state is an object");
+    };
+    fields.insert("state_root".into(), JsonValue::String(root.to_string()));
+    let checksum = hex::encode_prefixed(keccak256(state.to_json().as_bytes()));
+    let image = JsonValue::object([("checksum", JsonValue::String(checksum)), ("state", state)]);
+    std::fs::write(&snapshots[0], image.to_json()).unwrap();
+
+    let mut page = vec![0u8; 16 * 1024];
+    page[..4].copy_from_slice(&0x4C53_4350u32.to_le_bytes());
+    std::fs::write(dir.join("state.pages"), page).unwrap();
+    let root_file = JsonValue::object([
+        ("block", JsonValue::Number(head as f64)),
+        ("root", JsonValue::String(root.to_string())),
+    ]);
+    std::fs::write(dir.join("state.root"), root_file.to_json()).unwrap();
+}
+
+/// A data directory written by a release that kept the trie in an
+/// on-disk page store recovers to the bit-identical chain: same image,
+/// same block hashes, same state root, same proofs — all verifying
+/// offline. Recovery ignores the legacy `meta.json` field, the image's
+/// recorded `state_root` and the page files, and bulk-builds the trie
+/// from the image; the next compaction deletes the page files.
 #[test]
-fn adopted_and_rebuilt_restarts_agree() {
+fn legacy_data_dir_recovers_identically() {
     let ops = [
         Op::Deploy,
         Op::Confirm(0),
@@ -318,48 +363,50 @@ fn adopted_and_rebuilt_restarts_agree() {
         Op::Pay(0),
         Op::Mine,
     ];
+    let slots = [U256::ZERO, U256::from_u64(1)];
     let dir = fresh_dir();
     let (app, web3) = open_app(&dir, Faults::none());
     assert!(run_workload(&app, &web3, &ops));
     let expected = web3.with_node(|node| node.export_state());
     let expected_root = web3.with_node(lsc_chain::LocalNode::state_root);
+    let head = web3.block_number();
+    let account = web3.accounts()[0];
+    let expected_proof = web3.with_node(|node| node.proof(account, &slots).expect("live proof"));
     drop(app);
     drop(web3);
+    dress_as_legacy(&dir, expected_root, head);
 
-    // Adoption path: `state.root` matches the newest snapshot's trie
-    // root, so recovery walks the persisted pages instead of re-hashing.
-    let mut adopted = LocalNode::recover(&dir, Faults::none()).expect("adopting recovery");
-    assert_eq!(adopted.export_state(), expected);
-    assert_eq!(adopted.state_root(), expected_root);
-    let account = adopted.accounts()[0];
-    let proof = adopted
-        .proof(account, &[U256::ZERO, U256::from_u64(1)])
-        .expect("proof over adopted trie");
+    let mut recovered = LocalNode::recover(&dir, Faults::none()).expect("legacy recovery");
+    assert_eq!(recovered.export_state(), expected);
+    assert_eq!(recovered.state_root(), expected_root);
+    let proof = recovered
+        .proof(account, &slots)
+        .expect("proof over the rebuilt trie");
     assert_eq!(proof.state_root, expected_root);
+    assert_eq!(proof.account, expected_proof.account);
+    assert_eq!(proof.account_proof, expected_proof.account_proof);
     assert!(lsc_chain::verify_proof(
         proof.state_root,
         lsc_chain::account_key(account),
         &proof.account_proof
     )
     .is_ok());
-    drop(adopted);
-
-    // Rebuild path: delete the persisted root — recovery must fall back
-    // to the canonical from-scratch rebuild and land on the same root.
-    std::fs::remove_file(dir.join("state.root")).expect("persisted root exists");
-    let mut rebuilt = LocalNode::recover(&dir, Faults::none()).expect("rebuilding recovery");
-    assert_eq!(rebuilt.export_state(), expected);
-    assert_eq!(rebuilt.state_root(), expected_root);
-    drop(rebuilt);
-
-    // Paranoia: a torn page file must not break the rebuild either.
-    let pages = dir.join("state.pages");
-    if pages.exists() {
-        let bytes = std::fs::read(&pages).unwrap();
-        std::fs::write(&pages, &bytes[..bytes.len() / 2]).unwrap();
+    for (got, want) in proof
+        .storage_proofs
+        .iter()
+        .zip(&expected_proof.storage_proofs)
+    {
+        assert_eq!((got.key, got.value), (want.key, want.value));
+        assert_eq!(got.proof, want.proof);
     }
-    let mut torn = LocalNode::recover(&dir, Faults::none()).expect("recovery over torn pages");
-    assert_eq!(torn.export_state(), expected);
-    assert_eq!(torn.state_root(), expected_root);
+
+    // Compaction deletes the page files; the chain is unchanged.
+    recovered.compact().expect("compact");
+    assert!(!dir.join("state.pages").exists(), "stale page file deleted");
+    assert!(!dir.join("state.root").exists(), "stale root file deleted");
+    drop(recovered);
+    let mut again = LocalNode::recover(&dir, Faults::none()).expect("recovery after compaction");
+    assert_eq!(again.export_state(), expected);
+    assert_eq!(again.state_root(), expected_root);
     std::fs::remove_dir_all(&dir).ok();
 }
