@@ -338,15 +338,6 @@ pub struct DeploymentVetting {
     pub runtime: Option<Report>,
     /// Byte range of the runtime image inside the init blob.
     pub runtime_range: Option<std::ops::Range<usize>>,
-    /// One-line superinstruction compile summary for the extracted
-    /// runtime — the acceleration artifact built from the same CFG this
-    /// verifier vets ("vetting and acceleration share one trusted
-    /// artifact"). `None` when the runtime was not recovered or the
-    /// block compiler bailed; such contracts execute on the plain
-    /// interpreter path. Deliberately NOT a [`Finding`]: compile status
-    /// is an execution property, not a safety verdict, and must never
-    /// move the vetting baseline.
-    pub superinstr: Option<String>,
 }
 
 impl DeploymentVetting {
@@ -398,15 +389,10 @@ pub fn vet_deployment(init_code: &[u8]) -> DeploymentVetting {
     let runtime = runtime_range
         .clone()
         .map(|r| analyze_with(&init_code[r], LintOptions::default()));
-    let superinstr = runtime_range.clone().and_then(|r| {
-        let analysis = lsc_evm::AnalyzedCode::analyze(std::sync::Arc::new(init_code[r].to_vec()));
-        lsc_evm::compile::summary(&analysis)
-    });
     DeploymentVetting {
         init,
         runtime,
         runtime_range,
-        superinstr,
     }
 }
 

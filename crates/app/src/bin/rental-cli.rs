@@ -558,10 +558,6 @@ fn render_vetting(vetting: &DeploymentVetting) -> String {
         )),
         _ => out.push_str("runtime: not recovered (no canonical deploy tail)\n"),
     }
-    match &vetting.superinstr {
-        Some(line) => out.push_str(&format!("{line}\n")),
-        None => out.push_str("superinstr: not compiled (plain interpreter path)\n"),
-    }
     render_findings(&mut out, &vetting.findings());
     match vetting.enforce(&VettingPolicy::default()) {
         Ok(()) => out.push_str("verdict: deployable under the default policy"),

@@ -1,25 +1,19 @@
-//! Execution fast-path A/B report: times the same four workloads with
-//! the fast path OFF ("before": per-frame jumpdest re-scan, per-call
-//! keccak, fresh buffers, 64 MiB per-transaction threads, one fsync per
-//! submitted transaction) and ON ("after": cached analysis, frame-buffer
-//! pool, inline top-level frames, WAL group commit), then writes the
-//! series to `BENCH_exec.json` and prints the table EXPERIMENTS.md
-//! records. A second `superinstr_*` group re-times the interpreter-bound
-//! workloads with the fast path ON for both sides, isolating the
-//! superinstruction block loop (fused block gas + threaded dispatch)
-//! against the plain per-opcode interpreter.
+//! Execution report: times the interpreter-bound workloads (a rental
+//! lifecycle, an 8-version chain, a mined block of 64 rent payments and
+//! a hot counting loop) plus one durability comparison (64 submitted
+//! transactions with one fsync each vs one WAL group commit), then
+//! writes the series to `BENCH_exec.json` and prints the table
+//! EXPERIMENTS.md records.
 //!
 //! Run with: `cargo run --release -p lsc-bench --bin exec_report`
 //! (`--quick` shrinks the iteration counts for CI smoke runs).
 //!
-//! Gas is untouched by the fast path — the toggle changes time only —
-//! so this report carries wall-clock numbers, unlike `report`'s
-//! deterministic gas series.
+//! These are wall-clock numbers, unlike `report`'s deterministic gas
+//! series.
 
 use lsc_bench::{loaded_rent_block, BenchWorld};
 use lsc_chain::wal::Faults;
 use lsc_chain::{ChainConfig, LocalNode, Transaction};
-use lsc_evm::{fastpath, memo_stats, superinstr};
 use lsc_primitives::U256;
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -28,8 +22,7 @@ use std::time::Instant;
 struct Series {
     name: &'static str,
     detail: &'static str,
-    before_ns: u128,
-    after_ns: u128,
+    median_ns: u128,
 }
 
 /// Median wall-clock of `runs` executions of `work` (fresh input each).
@@ -45,184 +38,91 @@ fn measure<T, I>(runs: usize, mut setup: impl FnMut() -> I, mut work: impl FnMut
     samples[samples.len() / 2]
 }
 
-/// Interleaved A/B: alternate off/on samples pairwise so slow machine
-/// drift (thermal, scheduler) hits both sides equally instead of biasing
-/// whichever batch ran second. Returns (median off, median on).
-fn ab_with<T, I>(
-    runs: usize,
-    toggle: impl Fn(bool),
-    mut setup: impl FnMut() -> I,
-    mut work: impl FnMut(I) -> T,
-) -> (u128, u128) {
-    let mut before = Vec::with_capacity(runs);
-    let mut after = Vec::with_capacity(runs);
-    for _ in 0..runs {
-        toggle(false);
-        let input = setup();
-        let start = Instant::now();
-        black_box(work(input));
-        before.push(start.elapsed().as_nanos());
-
-        toggle(true);
-        let input = setup();
-        let start = Instant::now();
-        black_box(work(input));
-        after.push(start.elapsed().as_nanos());
-    }
-    before.sort_unstable();
-    after.sort_unstable();
-    (before[runs / 2], after[runs / 2])
-}
-
-fn ab<T, I>(runs: usize, setup: impl FnMut() -> I, work: impl FnMut(I) -> T) -> (u128, u128) {
-    let result = ab_with(runs, fastpath::set_enabled, setup, work);
-    fastpath::set_enabled(true);
-    result
-}
-
-/// A/B over the superinstruction block loop alone: the fast path (cached
-/// analysis, buffer pool) stays ON for both sides, so the delta isolates
-/// fused-gas threaded dispatch vs the plain per-opcode interpreter.
-fn ab_superinstr<T, I>(
-    runs: usize,
-    setup: impl FnMut() -> I,
-    work: impl FnMut(I) -> T,
-) -> (u128, u128) {
-    fastpath::set_enabled(true);
-    let result = ab_with(runs, superinstr::set_enabled, setup, work);
-    superinstr::set_enabled(true);
-    result
-}
-
 fn ms(ns: u128) -> f64 {
     ns as f64 / 1_000_000.0
+}
+
+/// A node with a deployed contract whose runtime counts to 20k (~9 ops
+/// per iteration, ~580k gas per call), warmed by one call.
+fn hot_loop_node() -> (LocalNode, lsc_primitives::Address, lsc_primitives::Address) {
+    // PUSH1 0; JUMPDEST; PUSH1 1; ADD; DUP1; PUSH3 20_000; GT;
+    // PUSH1 2; JUMPI; STOP
+    let runtime: Vec<u8> = vec![
+        0x60, 0x00, 0x5b, 0x60, 0x01, 0x01, 0x80, 0x62, 0x00, 0x4e, 0x20, 0x11, 0x60, 0x02, 0x57,
+        0x00,
+    ];
+    let mut init = vec![
+        0x61,
+        (runtime.len() >> 8) as u8,
+        runtime.len() as u8, // PUSH2 len
+        0x80,                // DUP1
+        0x60,
+        0x0c, // PUSH1 12 (runtime offset)
+        0x60,
+        0x00, // PUSH1 0
+        0x39, // CODECOPY
+        0x60,
+        0x00, // PUSH1 0
+        0xf3, // RETURN
+    ];
+    init.extend_from_slice(&runtime);
+    let mut node = LocalNode::new(2);
+    let from = node.accounts()[0];
+    let contract = node
+        .send_transaction(Transaction::deploy(from, init))
+        .expect("hot deploy")
+        .contract_address
+        .expect("hot address");
+    // Warm the per-account analysis outside the timed region.
+    assert!(node.call(from, contract, vec![]).success);
+    (node, from, contract)
 }
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let runs = if quick { 3 } else { 9 };
+    let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     let mut series = Vec::new();
 
     // 1. Repeated-call lifecycle: confirm + 12 rents + terminate on one
     // agreement — the same bytecode interpreted over and over.
-    let (before, after) = ab(runs, BenchWorld::new, |world| world.run_lifecycle(12));
     series.push(Series {
         name: "lifecycle_12_months",
         detail: "deploy + confirm + 12 rent payments + terminate",
-        before_ns: before,
-        after_ns: after,
+        median_ns: measure(runs, BenchWorld::new, |world| world.run_lifecycle(12)),
     });
 
     // 2. Build an 8-version chain (Fig. 2): CREATE-heavy, each deploy
     // re-reads the predecessor.
-    let (before, after) = ab(runs, BenchWorld::new, |world| world.deploy_chain(8));
     series.push(Series {
         name: "version_chain_8",
         detail: "8 linked contract versions deployed",
-        before_ns: before,
-        after_ns: after,
+        median_ns: measure(runs, BenchWorld::new, |world| world.deploy_chain(8)),
     });
 
     // 3. One mined block of 64 contract calls (8 agreements x 8 rent
     // payments), through the parallel mining engine.
-    let (before, after) = ab(runs, loaded_rent_block, |web3| web3.mine_block());
     series.push(Series {
         name: "mined_block_64_tx",
         detail: "64 queued rent payments sealed in one block",
-        before_ns: before,
-        after_ns: after,
+        median_ns: measure(runs, loaded_rent_block, |web3| web3.mine_block()),
     });
 
-    // 4-6. Same interpreter-bound workloads, isolating the
-    // superinstruction block loop (fast path ON both sides): one fused
-    // static-gas charge + one stack check per basic block, threaded
-    // block dispatch, constant-folded PUSH chains.
-    //
-    // The compile-memo counters bracket this group: every A/B iteration
-    // rebuilds its world and redeploys the same template bytecode, so a
-    // healthy memo shows ~1 miss per distinct blob and hits for every
-    // redeploy. A flat speedup with a high hit rate is workload-bound
-    // (host/state-dominated), not a cold-cache artifact.
-    memo_stats::reset();
-    let (before, after) = ab_superinstr(runs, BenchWorld::new, |world| world.run_lifecycle(12));
+    // 4. Interpreter-bound hot calls over the read-only call path. Rental
+    // transactions are short and state-dominated; this series isolates
+    // the opcode dispatch loop itself.
     series.push(Series {
-        name: "superinstr_lifecycle_12_months",
-        detail: "lifecycle_12_months, plain loop vs compiled blocks",
-        before_ns: before,
-        after_ns: after,
+        name: "hot_calls_4",
+        detail: "4 calls of a 20k-iteration loop",
+        median_ns: measure(runs, hot_loop_node, |(node, from, contract)| {
+            for _ in 0..4 {
+                assert!(node.call(from, contract, vec![]).success);
+            }
+        }),
     });
 
-    let (before, after) = ab_superinstr(runs, BenchWorld::new, |world| world.deploy_chain(8));
-    series.push(Series {
-        name: "superinstr_version_chain_8",
-        detail: "version_chain_8, plain loop vs compiled blocks",
-        before_ns: before,
-        after_ns: after,
-    });
-
-    let (before, after) = ab_superinstr(runs, loaded_rent_block, |web3| web3.mine_block());
-    series.push(Series {
-        name: "superinstr_mined_block_64_tx",
-        detail: "mined_block_64_tx, plain loop vs compiled blocks",
-        before_ns: before,
-        after_ns: after,
-    });
-
-    // 7. Interpreter-bound hot calls: a pure counting loop (~580k gas
-    // per call) over the read-only node call path. Rental transactions
-    // are short and state-dominated, which caps what any interpreter
-    // change can show there; this series is the workload the block
-    // compiler actually targets (airdrop-, hashing-, proof-verification-
-    // style compute) with everything else held constant.
-    let hot_setup = || -> (LocalNode, lsc_primitives::Address, lsc_primitives::Address) {
-        // PUSH1 0; JUMPDEST; PUSH1 1; ADD; DUP1; PUSH3 20_000; GT;
-        // PUSH1 2; JUMPI; STOP — counts to 20k, ~9 ops per iteration.
-        let runtime: Vec<u8> = vec![
-            0x60, 0x00, 0x5b, 0x60, 0x01, 0x01, 0x80, 0x62, 0x00, 0x4e, 0x20, 0x11, 0x60, 0x02,
-            0x57, 0x00,
-        ];
-        let mut init = vec![
-            0x61,
-            (runtime.len() >> 8) as u8,
-            runtime.len() as u8, // PUSH2 len
-            0x80,                // DUP1
-            0x60,
-            0x0c, // PUSH1 12 (runtime offset)
-            0x60,
-            0x00, // PUSH1 0
-            0x39, // CODECOPY
-            0x60,
-            0x00, // PUSH1 0
-            0xf3, // RETURN
-        ];
-        init.extend_from_slice(&runtime);
-        let mut node = LocalNode::new(2);
-        let from = node.accounts()[0];
-        let contract = node
-            .send_transaction(Transaction::deploy(from, init))
-            .expect("hot deploy")
-            .contract_address
-            .expect("hot address");
-        // Warm the per-account analysis (and, when enabled, the
-        // compiled artifact) outside the timed region.
-        assert!(node.call(from, contract, vec![]).success);
-        (node, from, contract)
-    };
-    let (before, after) = ab_superinstr(runs, hot_setup, |(mut node, from, contract)| {
-        for _ in 0..4 {
-            assert!(node.call(from, contract, vec![]).success);
-        }
-    });
-    series.push(Series {
-        name: "superinstr_hot_calls_4",
-        detail: "4 calls of a 20k-iteration loop, plain vs compiled",
-        before_ns: before,
-        after_ns: after,
-    });
-    let (memo_hits, memo_misses) = memo_stats::snapshot();
-
-    // 8. Durable submission of 64 transactions: one fsync per tx vs one
-    // group-committed batch. (Independent of the interpreter toggle.)
+    // 5. Durable submission of 64 transactions: one fsync per tx vs one
+    // group-committed batch.
     let dir: PathBuf = std::env::temp_dir().join(format!("lsc-exec-report-{}", std::process::id()));
     let fresh = || -> (LocalNode, Vec<Transaction>) {
         let _ = std::fs::remove_dir_all(&dir);
@@ -238,61 +138,52 @@ fn main() {
             .collect();
         (node, txs)
     };
-    let before = measure(runs, fresh, |(mut node, txs)| {
+    let per_tx_fsync = measure(runs, fresh, |(mut node, txs)| {
         for tx in txs {
             node.submit_transaction(tx);
         }
         node.pending_count()
     });
-    let after = measure(runs, fresh, |(mut node, txs)| {
+    let group_commit = measure(runs, fresh, |(mut node, txs)| {
         node.submit_transactions(txs);
         node.pending_count()
     });
     let _ = std::fs::remove_dir_all(&dir);
-    series.push(Series {
-        name: "durable_submit_64",
-        detail: "64 tx durably queued: 64 fsyncs vs 1 group commit",
-        before_ns: before,
-        after_ns: after,
-    });
+    let submit_speedup = per_tx_fsync as f64 / group_commit.max(1) as f64;
 
     // ---- table ------------------------------------------------------
-    println!("\n=== Execution fast path: before/after (median of {runs} runs) ===");
-    println!(
-        "{:<22} | {:>12} | {:>12} | {:>8}",
-        "series", "before (ms)", "after (ms)", "speedup"
-    );
-    println!("{}", "-".repeat(64));
+    println!("\n=== Execution (median of {runs} runs, nproc {nproc}) ===");
+    println!("{:<22} | {:>12}", "series", "median (ms)");
+    println!("{}", "-".repeat(37));
     for s in &series {
-        println!(
-            "{:<22} | {:>12.3} | {:>12.3} | {:>7.2}x",
-            s.name,
-            ms(s.before_ns),
-            ms(s.after_ns),
-            s.before_ns as f64 / s.after_ns.max(1) as f64
-        );
+        println!("{:<22} | {:>12.3}", s.name, ms(s.median_ns));
     }
-    println!("compile memo over superinstr series: {memo_hits} hits / {memo_misses} misses");
+    println!(
+        "durable_submit_64      | {:>12.3} per-tx fsync | {:.3} group commit | {submit_speedup:.2}x",
+        ms(per_tx_fsync),
+        ms(group_commit)
+    );
 
     // ---- BENCH_exec.json --------------------------------------------
-    let mut json = String::from("{\n  \"bench\": \"exec_fastpath\",\n");
-    json.push_str(&format!("  \"quick\": {quick},\n  \"runs\": {runs},\n"));
+    let mut json = String::from("{\n  \"bench\": \"exec\",\n");
     json.push_str(&format!(
-        "  \"compile_memo\": {{\"hits\": {memo_hits}, \"misses\": {memo_misses}}},\n"
+        "  \"quick\": {quick},\n  \"runs\": {runs},\n  \"nproc\": {nproc},\n"
     ));
     json.push_str("  \"series\": [\n");
     for (i, s) in series.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"detail\": \"{}\", \"before_ns\": {}, \"after_ns\": {}, \"speedup\": {:.3}}}{}\n",
+            "    {{\"name\": \"{}\", \"detail\": \"{}\", \"median_ns\": {}}}{}\n",
             s.name,
             s.detail,
-            s.before_ns,
-            s.after_ns,
-            s.before_ns as f64 / s.after_ns.max(1) as f64,
+            s.median_ns,
             if i + 1 < series.len() { "," } else { "" }
         ));
     }
-    json.push_str("  ]\n}\n");
+    json.push_str("  ],\n");
+    json.push_str(&format!(
+        "  \"durable_submit_64\": {{\"detail\": \"64 tx durably queued: 64 fsyncs vs 1 group commit\", \"per_tx_fsync_ns\": {per_tx_fsync}, \"group_commit_ns\": {group_commit}, \"speedup\": {submit_speedup:.3}}}\n"
+    ));
+    json.push_str("}\n");
     std::fs::write("BENCH_exec.json", &json).expect("write BENCH_exec.json");
     println!("\nwrote BENCH_exec.json");
 }

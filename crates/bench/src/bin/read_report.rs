@@ -181,10 +181,7 @@ fn main() {
     let from = accounts[0];
     let before = measure(runs, || {
         (0..batch / 10).fold(0u64, |acc, _| {
-            let result = shared
-                .lock()
-                .unwrap()
-                .call_readonly(from, emitter, calldata.clone());
+            let result = shared.lock().unwrap().call(from, emitter, calldata.clone());
             acc ^ result.gas_left
         })
     });

@@ -142,7 +142,7 @@ impl Default for BenchWorld {
 
 /// A web3 handle whose node holds 8 confirmed rental agreements with 64
 /// queued rent payments (8 months × 8 agreements) — one `mine_block`
-/// call seals them all. Used by the `exec_fastpath` A/B series.
+/// call seals them all. Used by `exec_report`'s `mined_block_64_tx`.
 pub fn loaded_rent_block() -> Web3 {
     let world = BenchWorld::new();
     let rentals: Vec<Rental> = (0..8)

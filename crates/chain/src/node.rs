@@ -474,6 +474,12 @@ impl LocalNode {
         self.state.code(address)
     }
 
+    /// The cached analysis of an account's code — the entry the
+    /// interpreter executes from.
+    pub fn code_analysis(&self, address: Address) -> Arc<AnalyzedCode> {
+        self.state.code_analysis(address)
+    }
+
     /// Read contract storage directly (diagnostics; `eth_getStorageAt`).
     pub fn storage_at(&self, address: Address, key: U256) -> U256 {
         self.state.storage(address, key)
@@ -1227,17 +1233,6 @@ impl LocalNode {
     /// instruction trace. Runs over an overlay host — the shared state
     /// (journal, analysis caches) is never touched.
     pub fn debug_trace_call(
-        &mut self,
-        from: Address,
-        to: Address,
-        data: Vec<u8>,
-    ) -> (CallResult, Vec<lsc_evm::TraceStep>) {
-        self.debug_trace_call_readonly(from, to, data)
-    }
-
-    /// [`LocalNode::debug_trace_call`] through `&self` — the actual
-    /// implementation; the `&mut` entry point is a compatibility shim.
-    pub fn debug_trace_call_readonly(
         &self,
         from: Address,
         to: Address,
@@ -1251,15 +1246,7 @@ impl LocalNode {
     /// Execute a read-only call (`eth_call`): writes land in a private
     /// overlay and are discarded — the shared journaled state is never
     /// mutated (no checkpoint, no rollback, no cache churn).
-    pub fn call(&mut self, from: Address, to: Address, data: Vec<u8>) -> CallResult {
-        self.call_readonly(from, to, data)
-    }
-
-    /// [`LocalNode::call`] through `&self` — the actual implementation;
-    /// the `&mut` entry point is a compatibility shim. Bit-identical to
-    /// the historical mutate-and-rollback path (the overlay host mirrors
-    /// the journaled host's semantics op for op).
-    pub fn call_readonly(&self, from: Address, to: Address, data: Vec<u8>) -> CallResult {
+    pub fn call(&self, from: Address, to: Address, data: Vec<u8>) -> CallResult {
         let env = self.block_env();
         let recent_hashes = self.recent_hashes();
         mvcc::run_call(&self.state, &env, &recent_hashes, from, to, data)
@@ -1267,13 +1254,7 @@ impl LocalNode {
 
     /// Estimate the gas a transaction would use (`eth_estimateGas`):
     /// executes against a private overlay and reports actual usage.
-    pub fn estimate_gas(&mut self, tx: &Transaction) -> Result<u64, TxError> {
-        self.estimate_gas_readonly(tx)
-    }
-
-    /// [`LocalNode::estimate_gas`] through `&self` — the actual
-    /// implementation; the `&mut` entry point is a compatibility shim.
-    pub fn estimate_gas_readonly(&self, tx: &Transaction) -> Result<u64, TxError> {
+    pub fn estimate_gas(&self, tx: &Transaction) -> Result<u64, TxError> {
         let env = self.block_env();
         let recent_hashes = self.recent_hashes();
         Ok(mvcc::run_estimate(

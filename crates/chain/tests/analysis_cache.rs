@@ -144,88 +144,44 @@ fn keccak_runs_at_most_once_per_distinct_code_blob() {
     assert_eq!(state.code_hash(eoa), H256::ZERO);
 }
 
-// ---------------------------------------------------------------------------
-// Superinstruction artifact: the compiled blocks live INSIDE AnalyzedCode,
-// so the per-account cache slot, install_code invalidation and journal
-// rollback cover the jumpdest bitmap, the memoized keccak and the compiled
-// artifact as ONE entry. These tests pin that down by pointer identity.
-// ---------------------------------------------------------------------------
-
 #[test]
-fn compiled_artifact_shares_the_analysis_cache_entry() {
-    let contract = addr("compiled-cache");
+fn analysis_entry_is_replaced_by_set_code_and_reinstated_by_rollback() {
+    let contract = addr("replaced-entry");
     let mut state = WorldState::new();
     state.set_code(contract, code_v1());
     state.commit();
+    let v1 = state.code_analysis(contract);
+    assert_eq!(v1.code_hash(), H256::keccak(code_v1()));
+    assert!(Arc::ptr_eq(&v1, &state.code_analysis(contract)));
 
-    let analysis = state.code_analysis(contract);
-    assert!(
-        analysis.compiled_if_cached().is_none(),
-        "artifact must be lazy — nothing compiled before first use"
-    );
-    let artifact = analysis.compiled().expect("v1 compiles");
-    // Every later lookup sees the same analysis AND the same artifact.
-    let again = state.code_analysis(contract);
-    assert!(Arc::ptr_eq(&analysis, &again));
-    assert!(Arc::ptr_eq(&artifact, &again.compiled().unwrap()));
-
-    // install_code invalidation drops both together — no split-brain
-    // where a fresh jumpdest bitmap pairs with stale compiled blocks.
-    state.set_code(contract, code_v2());
-    let v2 = state.code_analysis(contract);
-    assert!(!Arc::ptr_eq(&analysis, &v2), "stale analysis after upgrade");
-    let v2_artifact = v2.compiled().expect("v2 compiles");
-    assert!(
-        !Arc::ptr_eq(&artifact, &v2_artifact),
-        "stale compiled artifact after upgrade"
-    );
-    // The artifacts really describe their own code: pc 0 is a JUMPDEST
-    // block start in v1 but a PUSH immediate prefix in v2.
-    assert!(artifact.jump_target(0).is_some());
-    assert!(v2_artifact.jump_target(0).is_none());
-}
-
-#[test]
-fn rollback_reinstates_the_exact_compiled_artifact() {
-    let contract = addr("compiled-rollback");
-    let mut state = WorldState::new();
-    state.set_code(contract, code_v1());
-    state.commit();
-    let analysis = state.code_analysis(contract);
-    let artifact = analysis.compiled().expect("v1 compiles");
-
+    // set_code swaps in a new entry — bitmap and memoized hash together —
+    // while the old entry keeps describing the code it was built from.
     let cp = state.checkpoint();
     state.set_code(contract, code_v2());
-    let _ = state.code_analysis(contract).compiled();
-    state.revert_to(cp);
+    let v2 = state.code_analysis(contract);
+    assert!(!Arc::ptr_eq(&v1, &v2), "stale analysis after upgrade");
+    assert_eq!(v2.code(), code_v2().as_slice());
+    assert_eq!(v2.code_hash(), H256::keccak(code_v2()));
+    assert!(!v2.is_jumpdest(0));
+    assert!(v1.is_jumpdest(0));
+    assert_eq!(v1.code_hash(), H256::keccak(code_v1()));
 
-    // Rollback reinstates the exact prior cache entry: same analysis Arc,
-    // and its compiled slot is still populated with the same artifact —
-    // no recompilation, no stale v2 blocks.
+    // Rollback reinstates the exact prior entry, warmed hash included.
+    state.revert_to(cp);
     let restored = state.code_analysis(contract);
-    assert!(
-        Arc::ptr_eq(&analysis, &restored),
-        "cache lost across revert"
-    );
-    let cached = restored
-        .compiled_if_cached()
-        .expect("compiled slot must ride the rollback")
-        .expect("v1 compiles");
-    assert!(
-        Arc::ptr_eq(&artifact, &cached),
-        "rollback must reinstate the exact prior compiled artifact"
-    );
+    assert!(Arc::ptr_eq(&v1, &restored), "cache lost across revert");
+    assert_eq!(restored.code_hash(), H256::keccak(code_v1()));
 }
 
 // ---------------------------------------------------------------------------
 // Metamorphic CREATE2 redeploy: the one production shape where an address
 // gets NEW code (SELFDESTRUCT, then CREATE2 with identical init code that
-// fetches its runtime from the factory). Under `superinstr` the second
-// incarnation must never execute the first incarnation's compiled blocks.
+// fetches its runtime from the factory). The second incarnation must get
+// a fresh analysis and never execute the first incarnation's code.
 // ---------------------------------------------------------------------------
 
 #[test]
-fn create2_redeploy_under_superinstr_never_executes_old_blocks() {
+fn create2_redeploy_never_executes_old_code() {
     let mut node = LocalNode::new(3);
     let from = node.accounts()[0];
     let factory = node
@@ -234,13 +190,15 @@ fn create2_redeploy_under_superinstr_never_executes_old_blocks() {
         .contract_address
         .unwrap();
 
-    // First incarnation: returns 0x11; calling it warms the compiled
-    // blocks in the per-account analysis cache.
+    // First incarnation: returns 0x11; calling it warms the per-account
+    // analysis cache.
     set_template(&mut node, from, factory, 0x11);
     let child = deploy_child(&mut node, from, factory);
     assert_eq!(node.code(child).as_slice(), &child_runtime(0x11));
-    assert_eq!(read_constant(&mut node, from, child), 0x11);
-    assert_eq!(read_constant(&mut node, from, child), 0x11);
+    assert_eq!(read_constant(&node, from, child), 0x11);
+    let first = node.code_analysis(child);
+    assert!(Arc::ptr_eq(&first, &node.code_analysis(child)));
+    assert_eq!(first.code_hash(), H256::keccak(child_runtime(0x11)));
 
     // Upgrade: SELFDESTRUCT, retarget the factory, CREATE2 again — the
     // identical init code lands the NEW runtime at the SAME address.
@@ -249,11 +207,16 @@ fn create2_redeploy_under_superinstr_never_executes_old_blocks() {
     let reborn = deploy_child(&mut node, from, factory);
     assert_eq!(child, reborn, "CREATE2 redeploy must reuse the address");
 
-    // The regression: a stale compiled artifact would return 0x11 here.
-    assert_eq!(node.code(child).as_slice(), &child_runtime(0x22));
+    let second = node.code_analysis(child);
+    assert!(
+        !Arc::ptr_eq(&first, &second),
+        "redeploy reused the destroyed incarnation's analysis"
+    );
+    assert_eq!(second.code(), child_runtime(0x22).as_slice());
+    assert_eq!(second.code_hash(), H256::keccak(child_runtime(0x22)));
     assert_eq!(
-        read_constant(&mut node, from, child),
+        read_constant(&node, from, child),
         0x22,
-        "stale compiled superinstruction blocks executed after redeploy"
+        "stale code executed after redeploy"
     );
 }

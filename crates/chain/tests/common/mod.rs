@@ -3,7 +3,7 @@
 //! fetched from the factory's storage at construction time. A
 //! SELFDESTRUCT followed by a redeploy therefore lands *different* code
 //! at the *same* address — the one production shape that can expose a
-//! stale per-account compiled artifact under the `superinstr` toggle.
+//! stale per-account code analysis.
 
 use lsc_chain::{LocalNode, Transaction};
 use lsc_evm::opcode::op;
@@ -154,7 +154,7 @@ pub fn deploy_child(node: &mut LocalNode, from: Address, factory: Address) -> Ad
 }
 
 /// Call the child with empty calldata and return its constant.
-pub fn read_constant(node: &mut LocalNode, from: Address, child: Address) -> u8 {
+pub fn read_constant(node: &LocalNode, from: Address, child: Address) -> u8 {
     let result = node.call(from, child, vec![]);
     assert!(result.success, "child call halted: {:?}", result.halt);
     assert_eq!(result.output.len(), 32);

@@ -234,7 +234,7 @@ fn handle_matches_locked_node_in_all_mining_modes() {
 }
 
 #[test]
-fn readonly_call_is_bit_identical_to_locked_call() {
+fn node_call_is_bit_identical_to_handle_call() {
     let mut node = LocalNode::new(2);
     let handle = node.read_handle();
     let [a, _] = [node.accounts()[0], node.accounts()[1]];
@@ -255,11 +255,9 @@ fn readonly_call_is_bit_identical_to_locked_call() {
     // getter contract — and a call against the emitter writes storage and
     // emits logs inside the overlay, all discarded.
     for (to, data) in [(getter, vec![]), (emitter, word(12))] {
-        let locked = node.call(a, to, data.clone());
-        let readonly = node.call_readonly(a, to, data.clone());
+        let direct = node.call(a, to, data.clone());
         let handled = handle.call(a, to, data.clone());
-        assert_call_results_equal(&locked, &readonly, "locked vs readonly");
-        assert_call_results_equal(&locked, &handled, "locked vs handle");
+        assert_call_results_equal(&direct, &handled, "node vs handle");
     }
 
     let tx = Transaction::call(a, emitter, word(12)).with_gas(200_000);
@@ -270,10 +268,10 @@ fn readonly_call_is_bit_identical_to_locked_call() {
     );
 
     // Tracing agrees step for step.
-    let (locked_result, locked_steps) = node.debug_trace_call(a, getter, vec![]);
-    let (ro_result, ro_steps) = node.debug_trace_call_readonly(a, getter, vec![]);
-    assert_call_results_equal(&locked_result, &ro_result, "trace result");
-    assert_eq!(locked_steps.len(), ro_steps.len(), "trace length");
+    let (node_result, node_steps) = node.debug_trace_call(a, getter, vec![]);
+    let (handle_result, handle_steps) = handle.snapshot().debug_trace_call(a, getter, vec![]);
+    assert_call_results_equal(&node_result, &handle_result, "trace result");
+    assert_eq!(node_steps.len(), handle_steps.len(), "trace length");
 }
 
 #[test]

@@ -5,7 +5,7 @@
 
 use lsc_chain::wal::{FaultPlan, Faults};
 use lsc_chain::{fault_injection_enabled, ChainConfig, LocalNode, Transaction, TxError};
-use lsc_primitives::U256;
+use lsc_primitives::{H256, U256};
 use std::path::PathBuf;
 
 mod common;
@@ -309,14 +309,13 @@ fn segment_rotation_under_real_workload() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Superinstruction satellite: WAL recovery rebuilds the per-account
-/// compiled artifacts from the recovered code, never resurrecting a stale
-/// one. The metamorphic CREATE2 harness changes the code at a fixed
-/// address mid-history; after each crash/recover the compiled path must
-/// execute the FINAL incarnation's blocks.
+/// WAL recovery rebuilds the per-account code analysis from the
+/// recovered code, never resurrecting a stale one. The metamorphic
+/// CREATE2 harness changes the code at a fixed address mid-history; after
+/// each crash/recover the node must execute the FINAL incarnation.
 #[test]
-fn recovery_rebuilds_compiled_artifacts_for_final_code() {
-    let dir = temp_dir("superinstr");
+fn recovery_rebuilds_code_analysis_for_final_code() {
+    let dir = temp_dir("metamorphic");
     let mut node = LocalNode::open(&dir, ChainConfig::default(), 3, Faults::none()).unwrap();
     let from = node.accounts()[0];
     let factory = node
@@ -326,14 +325,17 @@ fn recovery_rebuilds_compiled_artifacts_for_final_code() {
         .unwrap();
     set_template(&mut node, from, factory, 0x11);
     let child = deploy_child(&mut node, from, factory);
-    assert_eq!(read_constant(&mut node, from, child), 0x11);
-    drop(node); // crash 1: v1 live, its compiled blocks warm
+    assert_eq!(read_constant(&node, from, child), 0x11);
+    let v1_hash = node.code_analysis(child).code_hash();
+    assert_eq!(v1_hash, H256::keccak(child_runtime(0x11)));
+    drop(node); // crash 1: v1 live, its analysis warm
 
     let mut node = LocalNode::recover(&dir, Faults::none()).unwrap();
+    assert_eq!(node.code_analysis(child).code_hash(), v1_hash);
     assert_eq!(
-        read_constant(&mut node, from, child),
+        read_constant(&node, from, child),
         0x11,
-        "recovered node must compile the recovered code"
+        "recovered node must execute the recovered code"
     );
 
     // Upgrade on the recovered node: destroy, retarget, CREATE2 again —
@@ -342,15 +344,18 @@ fn recovery_rebuilds_compiled_artifacts_for_final_code() {
     set_template(&mut node, from, factory, 0x22);
     let reborn = deploy_child(&mut node, from, factory);
     assert_eq!(child, reborn, "CREATE2 redeploy must reuse the address");
-    assert_eq!(read_constant(&mut node, from, child), 0x22);
+    assert_eq!(read_constant(&node, from, child), 0x22);
     drop(node); // crash 2: after the upgrade
 
-    let mut node = LocalNode::recover(&dir, Faults::none()).unwrap();
+    let node = LocalNode::recover(&dir, Faults::none()).unwrap();
     assert_eq!(node.code(child).as_slice(), &child_runtime(0x22));
+    let analysis = node.code_analysis(child);
+    assert_eq!(analysis.code(), child_runtime(0x22).as_slice());
+    assert_eq!(analysis.code_hash(), H256::keccak(child_runtime(0x22)));
     assert_eq!(
-        read_constant(&mut node, from, child),
+        read_constant(&node, from, child),
         0x22,
-        "recovery resurrected a stale compiled artifact"
+        "recovery resurrected stale code"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

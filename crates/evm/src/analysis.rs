@@ -15,64 +15,24 @@
 //! `OnceLock` in `lsc-chain`) must be cleared whenever the code they sit
 //! next to changes — `set_code`, `destroy_account`, journal rollback.
 
-use lsc_primitives::{FxHashMap, H256};
-use std::sync::{Arc, Mutex, OnceLock};
+use lsc_primitives::H256;
+use std::sync::{Arc, OnceLock};
 
-use crate::compile::{self, CompiledCode};
 use crate::opcode;
 
-/// Bound on the process-wide content-addressed compile memo. Entries are
-/// immutable and keyed by code keccak, so eviction is purely a memory
-/// cap, never a correctness concern.
-const COMPILED_MEMO_CAP: usize = 4096;
-
-/// fx(code) → (code, compiled artifact or memoized bail) chains, shared
-/// across every account that carries the same bytecode. The key is a
-/// cheap non-cryptographic hash, so hits verify the stored code is
-/// byte-identical before serving — a collision costs one memcmp, never
-/// a wrong artifact. (keccak would make the key collision-free but costs
-/// more than the compile amortization saves on multi-KB blobs.)
-type MemoChain = Vec<(Arc<Vec<u8>>, Option<Arc<CompiledCode>>)>;
-
-fn compiled_memo() -> &'static Mutex<FxHashMap<u64, MemoChain>> {
-    static MEMO: OnceLock<Mutex<FxHashMap<u64, MemoChain>>> = OnceLock::new();
-    MEMO.get_or_init(|| Mutex::new(FxHashMap::default()))
-}
-
-/// Process-wide hit/miss counters for the content-addressed compile
-/// memo. A "hit" is a [`AnalyzedCode::compiled`] call that found an
-/// existing artifact (or memoized bail) for byte-identical code; a
-/// "miss" ran the block compiler. Per-account `OnceLock` reuse never
-/// reaches the memo, so these count exactly the cross-account sharing
-/// the memo exists for — redeploys of template bytecode.
+/// Hit/miss counters of the compile memo that the removed basic-block
+/// compiler tier kept. Nothing counts any more, so
+/// [`snapshot`](memo_stats::snapshot) always reads `(0, 0)`. The module
+/// stays only for rentbench's record-only `evm.memo_*` fields, which a
+/// change to the benchmark can drop together with it.
 pub mod memo_stats {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static HITS: AtomicU64 = AtomicU64::new(0);
-    static MISSES: AtomicU64 = AtomicU64::new(0);
-
-    pub(super) fn record(hit: bool) {
-        let counter = if hit { &HITS } else { &MISSES };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `(hits, misses)` accumulated since process start or [`reset`].
+    /// `(hits, misses)`: always `(0, 0)`.
     pub fn snapshot() -> (u64, u64) {
-        (HITS.load(Ordering::Relaxed), MISSES.load(Ordering::Relaxed))
+        (0, 0)
     }
 
-    /// Zero both counters (test/bench isolation).
-    pub fn reset() {
-        HITS.store(0, Ordering::Relaxed);
-        MISSES.store(0, Ordering::Relaxed);
-    }
-}
-
-fn fx_bytes(bytes: &[u8]) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut hasher = lsc_primitives::FxHasher::default();
-    bytes.hash(&mut hasher);
-    hasher.finish()
+    /// No-op: there is nothing to reset.
+    pub fn reset() {}
 }
 
 /// Immutable analysis of one bytecode blob.
@@ -85,13 +45,6 @@ pub struct AnalyzedCode {
     /// keccak256 of the code, memoized on first use. Empty code hashes
     /// to `H256::ZERO` to match `WorldState::code_hash` semantics.
     hash: OnceLock<H256>,
-    /// Superinstruction artifact, compiled lazily on first use. `None`
-    /// inside means compilation bailed: this blob permanently takes the
-    /// plain path. Living *inside* the analysis means the per-account
-    /// cache slot, `install_code` invalidation and journal rollback
-    /// cover the jumpdest bitmap, the memoized keccak AND the compiled
-    /// artifact as one entry — they cannot split-brain.
-    compiled: OnceLock<Option<Arc<CompiledCode>>>,
 }
 
 impl AnalyzedCode {
@@ -109,7 +62,6 @@ impl AnalyzedCode {
             code,
             jumpdests,
             hash: OnceLock::new(),
-            compiled: OnceLock::new(),
         })
     }
 
@@ -160,101 +112,6 @@ impl AnalyzedCode {
                 H256::keccak(self.code.as_slice())
             }
         })
-    }
-
-    /// The superinstruction artifact for this blob, compiling on first
-    /// use and memoizing the result (including a bail, which pins the
-    /// blob to the plain path).
-    ///
-    /// Artifacts are additionally shared process-wide through a
-    /// content-addressed memo: the per-account analysis cache holds one
-    /// `AnalyzedCode` per *account*, so without the memo every redeploy
-    /// of identical bytecode — factories stamping out template
-    /// contracts, or a bench world rebuilt per iteration — would pay
-    /// the block compiler again. Hits are verified byte-for-byte
-    /// against the stored blob, so staleness is impossible: different
-    /// code can never alias an entry.
-    pub fn compiled(&self) -> Option<Arc<CompiledCode>> {
-        self.compiled
-            .get_or_init(|| {
-                if self.code.is_empty() {
-                    return None;
-                }
-                let key = fx_bytes(&self.code);
-                let memo = compiled_memo();
-                if let Some(chain) = memo.lock().expect("compile memo poisoned").get(&key) {
-                    for (blob, artifact) in chain {
-                        if Arc::ptr_eq(blob, &self.code) || **blob == *self.code {
-                            memo_stats::record(true);
-                            return artifact.clone();
-                        }
-                    }
-                }
-                memo_stats::record(false);
-                let artifact = compile::try_compile(self).map(Arc::new);
-                let mut memo = memo.lock().expect("compile memo poisoned");
-                // Content-addressed entries never go stale, so when the
-                // memo fills up, dropping it wholesale is safe — worst
-                // case the next user of each blob recompiles once.
-                if memo.len() >= COMPILED_MEMO_CAP {
-                    memo.clear();
-                }
-                memo.entry(key)
-                    .or_default()
-                    .push((Arc::clone(&self.code), artifact.clone()));
-                artifact
-            })
-            .clone()
-    }
-
-    /// Peek at the compiled slot without triggering compilation
-    /// (cache-identity tests).
-    pub fn compiled_if_cached(&self) -> Option<Option<Arc<CompiledCode>>> {
-        self.compiled.get().cloned()
-    }
-}
-
-/// Process-wide toggle for the execution fast path (analysis cache,
-/// frame-buffer pool, inline top-level frames). Defaults to **on**; the
-/// `exec_fastpath` benchmark flips it off to measure the "before" series.
-/// Semantics are bit-identical either way — only allocation/caching
-/// behaviour changes.
-pub mod fastpath {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static ENABLED: AtomicBool = AtomicBool::new(true);
-
-    /// Is the fast path on?
-    #[inline]
-    pub fn enabled() -> bool {
-        ENABLED.load(Ordering::Relaxed)
-    }
-
-    /// Turn the fast path on or off (benchmarks/tests only).
-    pub fn set_enabled(on: bool) {
-        ENABLED.store(on, Ordering::Relaxed);
-    }
-}
-
-/// Process-wide A/B toggle for the basic-block superinstruction path.
-/// Defaults to **on**; the plain interpreter remains the executable
-/// oracle and can be restored at runtime by flipping this off. Semantics
-/// are bit-identical either way — the differential suite in
-/// `tests/superinstr_equivalence.rs` enforces it.
-pub mod superinstr {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static ENABLED: AtomicBool = AtomicBool::new(true);
-
-    /// Is the superinstruction path on?
-    #[inline]
-    pub fn enabled() -> bool {
-        ENABLED.load(Ordering::Relaxed)
-    }
-
-    /// Turn the superinstruction path on or off (A/B benches and tests).
-    pub fn set_enabled(on: bool) {
-        ENABLED.store(on, Ordering::Relaxed);
     }
 }
 

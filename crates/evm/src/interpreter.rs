@@ -1,23 +1,22 @@
 //! The bytecode interpreter: executes call/create message frames against a
 //! [`Host`], with full gas metering, nested calls, reverts and logs.
 
-use crate::analysis::{fastpath, superinstr, AnalyzedCode};
-use crate::compile::{COp, CompiledCode};
+use crate::analysis::AnalyzedCode;
 use crate::gas::{self, GasMeter, OutOfGas};
 use crate::host::{Host, Log};
 use crate::memory::Memory;
 use crate::opcode::{self, op};
-use crate::stack::{Stack, StackError, STACK_LIMIT};
+use crate::stack::{Stack, StackError};
 use lsc_primitives::{keccak256, Address, H256, U256};
 use std::sync::Arc;
 
 /// Maximum call/create nesting depth.
 pub const MAX_CALL_DEPTH: u32 = 1024;
 
-/// With the fast path on, frames run on the caller's thread and hop to a
-/// fresh stack every `FRAME_HOP` nesting levels instead of paying one
-/// dedicated 64 MiB thread per transaction. Chosen so `FRAME_HOP` debug
-/// frames comfortably fit a default 2 MiB thread stack.
+/// Frames run on the caller's thread and hop to a fresh stack every
+/// `FRAME_HOP` nesting levels instead of paying one dedicated thread per
+/// transaction. Chosen so `FRAME_HOP` debug frames comfortably fit a
+/// default 2 MiB thread stack.
 const FRAME_HOP: u32 = 16;
 
 /// Stack size of each hop thread (holds `FRAME_HOP` interpreter frames).
@@ -243,7 +242,7 @@ pub struct Evm<'h, H: Host> {
     /// Structured step trace (when `Config::trace` is set).
     pub trace: Vec<TraceStep>,
     /// Frame-buffer pool: buffers released by completed frames, reused
-    /// by the next frame at any depth (fast path only).
+    /// by the next frame at any depth.
     pool: Vec<FrameBufs>,
 }
 
@@ -266,49 +265,18 @@ impl<'h, H: Host> Evm<'h, H> {
 
     /// Execute a message frame to completion.
     ///
-    /// With the fast path on (the default), frames run on the calling
-    /// thread and hop to a fresh [`FRAME_STACK_BYTES`] thread every
-    /// [`FRAME_HOP`] nesting levels, so the full 1024-frame call depth
-    /// still cannot overflow any native stack while typical shallow
-    /// transactions pay no thread spawn at all. With the fast path off,
-    /// the legacy strategy applies: every top-level message (depth 0)
-    /// runs on a dedicated thread with a 64 MiB stack.
+    /// Frames run on the calling thread and hop to a fresh
+    /// [`FRAME_STACK_BYTES`] thread every [`FRAME_HOP`] nesting levels, so
+    /// the full 1024-frame call depth cannot overflow any native stack
+    /// while typical shallow transactions pay no thread spawn at all.
     pub fn execute(&mut self, msg: Message) -> CallResult
-    where
-        H: Send,
-    {
-        if msg.depth == 0 && !fastpath::enabled() {
-            let config = self.config.clone();
-            let host = &mut *self.host;
-            let (result, steps, trace) = std::thread::scope(|scope| {
-                std::thread::Builder::new()
-                    .name("lsc-evm-interpreter".into())
-                    .stack_size(64 << 20)
-                    .spawn_scoped(scope, move || {
-                        let mut evm = Evm::with_config(host, config);
-                        let result = evm.execute_frame(msg);
-                        (result, evm.steps, evm.trace)
-                    })
-                    .expect("spawn interpreter thread")
-                    .join()
-                    .expect("interpreter thread panicked")
-            });
-            self.steps += steps;
-            self.trace.extend(trace);
-            return result;
-        }
-        self.execute_frame(msg)
-    }
-
-    /// Execute a frame on the current thread (recursive entry point).
-    fn execute_frame(&mut self, msg: Message) -> CallResult
     where
         H: Send,
     {
         if msg.depth > MAX_CALL_DEPTH {
             return CallResult::halt(Halt::CallDepth);
         }
-        if fastpath::enabled() && msg.depth > 0 && msg.depth.is_multiple_of(FRAME_HOP) {
+        if msg.depth > 0 && msg.depth.is_multiple_of(FRAME_HOP) {
             return self.execute_on_fresh_stack(msg);
         }
         self.dispatch_frame(msg)
@@ -451,40 +419,18 @@ impl<'h, H: Host> Evm<'h, H> {
     where
         H: Send,
     {
-        let reuse = fastpath::enabled();
-        let mut bufs = if reuse {
-            self.pool.pop().unwrap_or_default()
-        } else {
-            FrameBufs::default()
-        };
+        let mut bufs = self.pool.pop().unwrap_or_default();
         bufs.reset();
-        // Superinstruction path: only when the toggle is on, no tracing
-        // or step counting is requested (those observe per-opcode state
-        // the block loop fuses away), and this blob compiled. The plain
-        // loop below remains the executable oracle.
-        let compiled = if superinstr::enabled()
-            && !self.config.trace
-            && !self.config.count_steps
-            && msg.gas <= i64::MAX as u64
-        {
-            analysis.compiled()
-        } else {
-            None
-        };
-        let result = match compiled {
-            Some(c) => self.compiled_loop(msg, analysis, &c, this, &mut bufs),
-            None => self.frame_loop(msg, analysis, this, &mut bufs, 0, GasMeter::new(msg.gas)),
-        };
+        let result = self.frame_loop(msg, analysis, this, &mut bufs);
         // Oversized memories are dropped rather than parked in the pool.
-        if reuse && bufs.memory.capacity() <= POOL_MEMORY_CAP {
+        if bufs.memory.capacity() <= POOL_MEMORY_CAP {
             self.pool.push(bufs);
         }
         result
     }
 
-    /// The interpreter loop proper. `pc` and `meter` are normally
-    /// `0`/fresh; the compiled path re-enters here mid-frame when it
-    /// deopts, handing over the exact machine state.
+    /// The interpreter loop proper: runs one frame from `pc = 0` with a
+    /// fresh gas meter.
     #[allow(clippy::too_many_lines)]
     fn frame_loop(
         &mut self,
@@ -492,13 +438,13 @@ impl<'h, H: Host> Evm<'h, H> {
         analysis: &AnalyzedCode,
         this: Address,
         bufs: &mut FrameBufs,
-        mut pc: usize,
-        mut meter: GasMeter,
     ) -> CallResult
     where
         H: Send,
     {
         let code = analysis.code();
+        let mut pc = 0usize;
+        let mut meter = GasMeter::new(msg.gas);
         let FrameBufs {
             stack,
             memory,
@@ -978,7 +924,7 @@ impl<'h, H: Host> Evm<'h, H> {
                         is_static: false,
                         depth: msg.depth + 1,
                     };
-                    let result = self.execute_frame(child);
+                    let result = self.execute(child);
                     meter.reclaim(result.gas_left);
                     if result.success {
                         meter.add_refund(result.gas_refund);
@@ -1071,7 +1017,7 @@ impl<'h, H: Host> Evm<'h, H> {
                             depth: msg.depth + 1,
                         },
                     };
-                    let mut result = self.execute_frame(child);
+                    let mut result = self.execute(child);
                     // Unused child gas (beyond any stipend) returns to us.
                     meter.reclaim(result.gas_left.min(child_gas));
                     if result.success {
@@ -1131,636 +1077,6 @@ impl<'h, H: Host> Evm<'h, H> {
             gas_left: meter.remaining(),
             gas_refund: meter.refund(),
             created: None,
-        }
-    }
-
-    /// The superinstruction block loop: one fused static-gas charge and
-    /// one stack range check per basic block, threaded block-index
-    /// dispatch, pre-decoded immediates. Exactness against `frame_loop`
-    /// follows the correction scheme documented in `compile.rs`; on any
-    /// path the block form cannot express (entry-check failure, deopt
-    /// opcodes) it re-enters `frame_loop` with the live machine state.
-    #[allow(clippy::too_many_lines)]
-    fn compiled_loop(
-        &mut self,
-        msg: &Message,
-        analysis: &AnalyzedCode,
-        compiled: &CompiledCode,
-        this: Address,
-        bufs: &mut FrameBufs,
-    ) -> CallResult
-    where
-        H: Send,
-    {
-        let code = analysis.code();
-        let limit = msg.gas;
-        // Fused remaining gas; may run *behind* the plain meter mid-block
-        // (negative) because block statics are charged up front. At block
-        // boundaries it equals the plain remaining exactly.
-        let mut fused: i64 = limit as i64;
-        let mut refund: u64 = 0;
-
-        macro_rules! halt {
-            ($reason:expr) => {
-                return CallResult::halt($reason)
-            };
-        }
-        macro_rules! pop {
-            () => {
-                match bufs.stack.pop() {
-                    Ok(v) => v,
-                    Err(_) => halt!(Halt::StackUnderflow),
-                }
-            };
-        }
-        macro_rules! push {
-            ($v:expr) => {
-                match bufs.stack.push($v) {
-                    Ok(()) => {}
-                    Err(StackError::Overflow) => halt!(Halt::StackOverflow),
-                    Err(StackError::Underflow) => halt!(Halt::StackUnderflow),
-                }
-            };
-        }
-        /// Mirror of the plain loop's `pop_usize!`.
-        macro_rules! pop_usize {
-            () => {{
-                let v = pop!();
-                match v.to_usize() {
-                    Some(u) if u <= u32::MAX as usize => u,
-                    _ => halt!(Halt::OutOfGas),
-                }
-            }};
-        }
-        /// Charge a dynamic extra at a checkpoint: the plain meter
-        /// survives iff `fused + corr_post >= extra`.
-        macro_rules! charge_extra {
-            ($corr:expr, $amount:expr) => {{
-                let amount: u64 = $amount;
-                if amount > i64::MAX as u64 || fused + i64::from($corr) < amount as i64 {
-                    halt!(Halt::OutOfGas)
-                }
-                fused -= amount as i64;
-            }};
-        }
-        /// Mirror of the plain loop's `expand_memory!`, charging the
-        /// growth against the corrected fused counter.
-        macro_rules! expand_memory {
-            ($corr:expr, $offset:expr, $len:expr) => {{
-                let offset: usize = $offset;
-                let len: usize = $len;
-                if len > 0 {
-                    let end = offset.saturating_add(len) as u64;
-                    let new_words = gas::words(end);
-                    let old_words = bufs.memory.words();
-                    if new_words > old_words {
-                        let cost = gas::memory_gas(new_words) - gas::memory_gas(old_words);
-                        charge_extra!($corr, cost);
-                    }
-                    bufs.memory.expand(offset, len);
-                }
-            }};
-        }
-        /// Hand the frame to the plain loop at `pc` with plain-remaining
-        /// gas `rem` (callers guarantee `rem >= 0` was materialized).
-        macro_rules! deopt {
-            ($pc:expr, $rem:expr) => {{
-                let rem: u64 = $rem;
-                let mut meter = GasMeter::new(limit);
-                let _ = meter.charge(limit - rem);
-                meter.add_refund(refund);
-                return self.frame_loop(msg, analysis, this, bufs, $pc, meter);
-            }};
-        }
-
-        let mut block_id: usize = 0;
-        'blocks: loop {
-            // Materialize an out-of-gas the plain meter already hit (the
-            // fused counter can only sink further, so every loop back
-            // edge terminates here).
-            if fused < 0 {
-                halt!(Halt::OutOfGas);
-            }
-            let blk = &compiled.blocks[block_id];
-            // ONE stack range check + ONE static gas charge per block.
-            // On failure the plain loop is guaranteed to halt inside
-            // this block; deopt so it picks the exact first violation.
-            let depth = bufs.stack.len() as i64;
-            if depth < i64::from(blk.needed)
-                || depth + blk.max_growth > STACK_LIMIT as i64
-                || fused < blk.static_gas as i64
-            {
-                deopt!(blk.start_pc as usize, fused as u64);
-            }
-            fused -= blk.static_gas as i64;
-
-            let first = blk.first as usize;
-            for idx in first..first + blk.len as usize {
-                let ins = &compiled.instrs[idx];
-                let corr = ins.corr_post;
-                match ins.op {
-                    COp::Nop => {}
-                    COp::Push(v) => push!(v),
-                    COp::JumpStatic(t) => {
-                        if fused < 0 {
-                            halt!(Halt::OutOfGas);
-                        }
-                        block_id = t as usize;
-                        continue 'blocks;
-                    }
-                    COp::JumpIStatic(t) => {
-                        if fused < 0 {
-                            halt!(Halt::OutOfGas);
-                        }
-                        let cond = pop!();
-                        if !cond.is_zero() {
-                            block_id = t as usize;
-                            continue 'blocks;
-                        }
-                    }
-                    COp::MStoreK(offset) => {
-                        if fused + i64::from(corr) < 0 {
-                            halt!(Halt::OutOfGas);
-                        }
-                        let value = pop!();
-                        expand_memory!(corr, offset as usize, 32);
-                        bufs.memory.store_word(offset as usize, value);
-                    }
-                    COp::MLoadK(offset) => {
-                        if fused + i64::from(corr) < 0 {
-                            halt!(Halt::OutOfGas);
-                        }
-                        expand_memory!(corr, offset as usize, 32);
-                        push!(bufs.memory.load_word(offset as usize));
-                    }
-                    COp::ReturnK {
-                        offset,
-                        len,
-                        revert,
-                    } => {
-                        if fused < 0 {
-                            halt!(Halt::OutOfGas);
-                        }
-                        expand_memory!(corr, offset as usize, len as usize);
-                        let output = bufs.memory.to_vec(offset as usize, len as usize);
-                        return CallResult {
-                            success: !revert,
-                            reverted: revert,
-                            halt: None,
-                            output,
-                            gas_left: fused as u64,
-                            gas_refund: if revert { 0 } else { refund },
-                            created: None,
-                        };
-                    }
-                    COp::Deopt(byte) => {
-                        let corr_pre = i64::from(corr) + opcode::base_gas(byte) as i64;
-                        if fused + corr_pre < 0 {
-                            halt!(Halt::OutOfGas);
-                        }
-                        deopt!(ins.pc as usize, (fused + corr_pre) as u64);
-                    }
-                    COp::Plain(byte) => match byte {
-                        op::STOP => {
-                            if fused < 0 {
-                                halt!(Halt::OutOfGas);
-                            }
-                            return CallResult {
-                                success: true,
-                                reverted: false,
-                                halt: None,
-                                output: Vec::new(),
-                                gas_left: fused as u64,
-                                gas_refund: refund,
-                                created: None,
-                            };
-                        }
-                        op::ADD
-                        | op::SUB
-                        | op::LT
-                        | op::GT
-                        | op::SLT
-                        | op::SGT
-                        | op::EQ
-                        | op::AND
-                        | op::OR
-                        | op::XOR
-                        | op::SHL
-                        | op::SHR
-                        | op::SAR
-                        | op::BYTE => {
-                            let a = pop!();
-                            let b = pop!();
-                            let r = match byte {
-                                op::ADD => a.wrapping_add(b),
-                                op::SUB => a.wrapping_sub(b),
-                                op::LT => U256::from(a < b),
-                                op::GT => U256::from(a > b),
-                                op::SLT => U256::from(a.slt(b)),
-                                op::SGT => U256::from(a.sgt(b)),
-                                op::EQ => U256::from(a == b),
-                                op::AND => a & b,
-                                op::OR => a | b,
-                                op::XOR => a ^ b,
-                                op::SHL => b << a,
-                                op::SHR => b >> a,
-                                op::SAR => b.sar(a),
-                                op::BYTE => b.byte_be(a),
-                                _ => unreachable!(),
-                            };
-                            push!(r);
-                        }
-                        op::MUL | op::DIV | op::SDIV | op::MOD | op::SMOD | op::SIGNEXTEND => {
-                            let a = pop!();
-                            let b = pop!();
-                            let r = match byte {
-                                op::MUL => a.wrapping_mul(b),
-                                op::DIV => a.div_rem(b).0,
-                                op::SDIV => a.sdiv(b),
-                                op::MOD => a.div_rem(b).1,
-                                op::SMOD => a.smod(b),
-                                op::SIGNEXTEND => b.sign_extend(a),
-                                _ => unreachable!(),
-                            };
-                            push!(r);
-                        }
-                        op::ADDMOD | op::MULMOD => {
-                            let a = pop!();
-                            let b = pop!();
-                            let m = pop!();
-                            let r = if byte == op::ADDMOD {
-                                a.add_mod(b, m)
-                            } else {
-                                a.mul_mod(b, m)
-                            };
-                            push!(r);
-                        }
-                        op::EXP => {
-                            let a = pop!();
-                            let e = pop!();
-                            charge_extra!(corr, gas::EXP_BYTE * e.byte_len() as u64);
-                            push!(a.wrapping_pow(e));
-                        }
-                        op::ISZERO | op::NOT => {
-                            let a = pop!();
-                            push!(if byte == op::ISZERO {
-                                U256::from(a.is_zero())
-                            } else {
-                                !a
-                            });
-                        }
-                        op::KECCAK256 => {
-                            let offset = pop_usize!();
-                            let len = pop_usize!();
-                            charge_extra!(corr, gas::KECCAK256_WORD * gas::words(len as u64));
-                            expand_memory!(corr, offset, len);
-                            let hash = keccak256(bufs.memory.slice(offset, len));
-                            push!(U256::from_be_bytes(hash));
-                        }
-                        op::ADDRESS => push!(this.to_u256()),
-                        op::BALANCE => {
-                            let a = Address::from_u256(pop!());
-                            push!(self.host.balance(a));
-                        }
-                        op::SELFBALANCE => push!(self.host.balance(this)),
-                        op::ORIGIN | op::CALLER => push!(msg.caller.to_u256()),
-                        op::CALLVALUE => push!(msg.value),
-                        op::CALLDATALOAD => {
-                            let offset = pop!();
-                            let mut buf = [0u8; 32];
-                            if let Some(off) = offset.to_usize() {
-                                for (i, b) in buf.iter_mut().enumerate() {
-                                    *b = msg.data.get(off + i).copied().unwrap_or(0);
-                                }
-                            }
-                            push!(U256::from_be_bytes(buf));
-                        }
-                        op::CALLDATASIZE => push!(U256::from(msg.data.len())),
-                        op::CALLDATACOPY | op::CODECOPY => {
-                            let dst = pop_usize!();
-                            let src = pop_usize!();
-                            let len = pop_usize!();
-                            charge_extra!(corr, gas::COPY_WORD * gas::words(len as u64));
-                            expand_memory!(corr, dst, len);
-                            if len > 0 {
-                                let source: &[u8] = if byte == op::CALLDATACOPY {
-                                    &msg.data
-                                } else {
-                                    code
-                                };
-                                let tail = source.get(src..).unwrap_or(&[]);
-                                bufs.memory.store_slice_padded(dst, tail, len);
-                            }
-                        }
-                        op::CODESIZE => push!(U256::from(code.len())),
-                        op::GASPRICE => push!(self.host.gas_price()),
-                        op::EXTCODESIZE => {
-                            let a = Address::from_u256(pop!());
-                            push!(U256::from(self.host.code_analysis(a).len()));
-                        }
-                        op::EXTCODEHASH => {
-                            let a = Address::from_u256(pop!());
-                            push!(self.host.code_hash(a).to_u256());
-                        }
-                        op::RETURNDATASIZE => push!(U256::from(bufs.return_data.len())),
-                        op::RETURNDATACOPY => {
-                            let dst = pop_usize!();
-                            let src = pop_usize!();
-                            let len = pop_usize!();
-                            charge_extra!(corr, gas::COPY_WORD * gas::words(len as u64));
-                            if src.saturating_add(len) > bufs.return_data.len() {
-                                halt!(Halt::ReturnDataOutOfBounds);
-                            }
-                            expand_memory!(corr, dst, len);
-                            if len > 0 {
-                                let data: Vec<u8> = bufs.return_data[src..src + len].to_vec();
-                                bufs.memory.store_slice_padded(dst, &data, len);
-                            }
-                        }
-                        op::BLOCKHASH => {
-                            let n = pop!();
-                            let h = n.to_u64().map_or(H256::ZERO, |n| self.host.blockhash(n));
-                            push!(h.to_u256());
-                        }
-                        op::COINBASE => push!(self.host.block().coinbase.to_u256()),
-                        op::TIMESTAMP => push!(U256::from(self.host.block().timestamp)),
-                        op::NUMBER => push!(U256::from(self.host.block().number)),
-                        op::DIFFICULTY => push!(self.host.block().difficulty),
-                        op::GASLIMIT => push!(U256::from(self.host.block().gas_limit)),
-                        op::CHAINID => push!(U256::from(self.host.block().chain_id)),
-                        op::POP => {
-                            pop!();
-                        }
-                        op::MLOAD => {
-                            let offset = pop_usize!();
-                            expand_memory!(corr, offset, 32);
-                            push!(bufs.memory.load_word(offset));
-                        }
-                        op::MSTORE => {
-                            let offset = pop_usize!();
-                            let value = pop!();
-                            expand_memory!(corr, offset, 32);
-                            bufs.memory.store_word(offset, value);
-                        }
-                        op::MSTORE8 => {
-                            let offset = pop_usize!();
-                            let value = pop!();
-                            expand_memory!(corr, offset, 1);
-                            bufs.memory.store_byte(offset, value.low_u64() as u8);
-                        }
-                        op::SLOAD => {
-                            let key = pop!();
-                            push!(self.host.sload(this, key));
-                        }
-                        op::SSTORE => {
-                            // Reach check before the static-context check:
-                            // a plain meter that died earlier in the block
-                            // reports OutOfGas, not StaticViolation.
-                            if fused + i64::from(corr) + (gas::SSTORE_RESET as i64) < 0 {
-                                halt!(Halt::OutOfGas);
-                            }
-                            if msg.is_static {
-                                halt!(Halt::StaticViolation);
-                            }
-                            let key = pop!();
-                            let value = pop!();
-                            let prev = self.host.sload(this, key);
-                            let extra = if prev.is_zero() && !value.is_zero() {
-                                gas::SSTORE_SET - gas::SSTORE_RESET
-                            } else {
-                                0
-                            };
-                            charge_extra!(corr, extra);
-                            if !prev.is_zero() && value.is_zero() {
-                                refund = refund.saturating_add(gas::SSTORE_CLEAR_REFUND);
-                            }
-                            self.host.sstore(this, key, value);
-                        }
-                        op::JUMP => {
-                            if fused < 0 {
-                                halt!(Halt::OutOfGas);
-                            }
-                            let dest = pop!();
-                            match dest.to_usize().and_then(|d| compiled.jump_target(d)) {
-                                Some(t) => {
-                                    block_id = t as usize;
-                                    continue 'blocks;
-                                }
-                                None => halt!(Halt::InvalidJump),
-                            }
-                        }
-                        op::JUMPI => {
-                            if fused < 0 {
-                                halt!(Halt::OutOfGas);
-                            }
-                            let dest = pop!();
-                            let cond = pop!();
-                            if !cond.is_zero() {
-                                match dest.to_usize().and_then(|d| compiled.jump_target(d)) {
-                                    Some(t) => {
-                                        block_id = t as usize;
-                                        continue 'blocks;
-                                    }
-                                    None => halt!(Halt::InvalidJump),
-                                }
-                            }
-                        }
-                        op::PC => push!(U256::from(ins.pc as usize)),
-                        op::MSIZE => push!(U256::from(bufs.memory.len())),
-                        op::GAS => {
-                            // Observable: must match the plain remaining
-                            // after GAS's own BASE charge.
-                            if fused + i64::from(corr) < 0 {
-                                halt!(Halt::OutOfGas);
-                            }
-                            push!(U256::from((fused + i64::from(corr)) as u64));
-                        }
-                        op::JUMPDEST => {}
-                        op::DUP1..=op::DUP16 => {
-                            match bufs.stack.dup((byte - op::DUP1 + 1) as usize) {
-                                Ok(()) => {}
-                                Err(StackError::Overflow) => halt!(Halt::StackOverflow),
-                                Err(StackError::Underflow) => halt!(Halt::StackUnderflow),
-                            }
-                        }
-                        op::SWAP1..=op::SWAP16 => {
-                            match bufs.stack.swap((byte - op::SWAP1 + 1) as usize) {
-                                Ok(()) => {}
-                                Err(StackError::Overflow) => halt!(Halt::StackOverflow),
-                                Err(StackError::Underflow) => halt!(Halt::StackUnderflow),
-                            }
-                        }
-                        op::LOG0..=op::LOG4 => {
-                            let n_topics = (byte - op::LOG0) as usize;
-                            let static_part = gas::LOG + gas::LOG_TOPIC * n_topics as u64;
-                            if fused + i64::from(corr) + (static_part as i64) < 0 {
-                                halt!(Halt::OutOfGas);
-                            }
-                            if msg.is_static {
-                                halt!(Halt::StaticViolation);
-                            }
-                            let offset = pop_usize!();
-                            let len = pop_usize!();
-                            charge_extra!(corr, gas::LOG_DATA * len as u64);
-                            expand_memory!(corr, offset, len);
-                            let mut topics = Vec::with_capacity(n_topics);
-                            for _ in 0..n_topics {
-                                topics.push(H256::from_u256(pop!()));
-                            }
-                            let data = bufs.memory.to_vec(offset, len);
-                            self.host.log(Log {
-                                address: this,
-                                topics,
-                                data,
-                            });
-                        }
-                        op::CALL | op::CALLCODE | op::DELEGATECALL | op::STATICCALL => {
-                            if fused + i64::from(corr) + (gas::CALL as i64) < 0 {
-                                halt!(Halt::OutOfGas);
-                            }
-                            let gas_requested = pop!();
-                            let to = Address::from_u256(pop!());
-                            let value = if byte == op::CALL || byte == op::CALLCODE {
-                                pop!()
-                            } else {
-                                U256::ZERO
-                            };
-                            if byte == op::CALL && msg.is_static && !value.is_zero() {
-                                halt!(Halt::StaticViolation);
-                            }
-                            let in_off = pop_usize!();
-                            let in_len = pop_usize!();
-                            let out_off = pop_usize!();
-                            let out_len = pop_usize!();
-                            let mut extra = 0u64;
-                            if !value.is_zero() {
-                                extra += gas::CALL_VALUE;
-                                if byte == op::CALL && !self.host.exists(to) {
-                                    extra += gas::NEW_ACCOUNT;
-                                }
-                            }
-                            charge_extra!(corr, extra);
-                            expand_memory!(corr, in_off, in_len);
-                            expand_memory!(corr, out_off, out_len);
-                            let plain_rem = (fused + i64::from(corr)) as u64;
-                            let cap = gas::max_call_gas(plain_rem);
-                            let mut child_gas = match gas_requested.to_u64() {
-                                Some(g) => g.min(cap),
-                                None => cap,
-                            };
-                            charge_extra!(corr, child_gas);
-                            if !value.is_zero() {
-                                child_gas += gas::CALL_STIPEND;
-                            }
-                            let data = bufs.memory.to_vec(in_off, in_len);
-                            let child = match byte {
-                                op::CALL => Message {
-                                    kind: CallKind::Call,
-                                    caller: this,
-                                    target: to,
-                                    code_address: to,
-                                    value,
-                                    data,
-                                    gas: child_gas,
-                                    is_static: msg.is_static,
-                                    depth: msg.depth + 1,
-                                },
-                                op::CALLCODE => Message {
-                                    kind: CallKind::CallCode,
-                                    caller: this,
-                                    target: this,
-                                    code_address: to,
-                                    value,
-                                    data,
-                                    gas: child_gas,
-                                    is_static: msg.is_static,
-                                    depth: msg.depth + 1,
-                                },
-                                op::DELEGATECALL => Message {
-                                    kind: CallKind::DelegateCall,
-                                    caller: msg.caller,
-                                    target: this,
-                                    code_address: to,
-                                    value: msg.value,
-                                    data,
-                                    gas: child_gas,
-                                    is_static: msg.is_static,
-                                    depth: msg.depth + 1,
-                                },
-                                _ => Message {
-                                    kind: CallKind::StaticCall,
-                                    caller: this,
-                                    target: to,
-                                    code_address: to,
-                                    value: U256::ZERO,
-                                    data,
-                                    gas: child_gas,
-                                    is_static: true,
-                                    depth: msg.depth + 1,
-                                },
-                            };
-                            let mut result = self.execute_frame(child);
-                            fused += result.gas_left.min(child_gas) as i64;
-                            if result.success {
-                                refund = refund.saturating_add(result.gas_refund);
-                            }
-                            bufs.return_data = std::mem::take(&mut result.output);
-                            let copy_len = out_len.min(bufs.return_data.len());
-                            if copy_len > 0 {
-                                let out: Vec<u8> = bufs.return_data[..copy_len].to_vec();
-                                bufs.memory.store_slice_padded(out_off, &out, copy_len);
-                            }
-                            push!(U256::from(result.success));
-                        }
-                        op::RETURN | op::REVERT => {
-                            if fused < 0 {
-                                halt!(Halt::OutOfGas);
-                            }
-                            let offset = pop_usize!();
-                            let len = pop_usize!();
-                            expand_memory!(corr, offset, len);
-                            let output = bufs.memory.to_vec(offset, len);
-                            let success = byte == op::RETURN;
-                            return CallResult {
-                                success,
-                                reverted: !success,
-                                halt: None,
-                                output,
-                                gas_left: fused as u64,
-                                gas_refund: if success { refund } else { 0 },
-                                created: None,
-                            };
-                        }
-                        other => {
-                            // Undefined byte: a block terminator on both
-                            // paths. A pending OOG wins, as in plain.
-                            if fused < 0 {
-                                halt!(Halt::OutOfGas);
-                            }
-                            halt!(Halt::InvalidOpcode(other));
-                        }
-                    },
-                }
-            }
-
-            // Fell off the block's end: thread into the next block or,
-            // past the last instruction, implicit STOP.
-            if blk.falls_through && block_id + 1 < compiled.blocks.len() {
-                block_id += 1;
-                continue 'blocks;
-            }
-            if fused < 0 {
-                halt!(Halt::OutOfGas);
-            }
-            return CallResult {
-                success: true,
-                reverted: false,
-                halt: None,
-                output: Vec::new(),
-                gas_left: fused as u64,
-                gas_refund: refund,
-                created: None,
-            };
         }
     }
 }

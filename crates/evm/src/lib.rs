@@ -16,7 +16,6 @@ pub mod access;
 pub mod analysis;
 pub mod asm;
 pub mod cfg;
-pub mod compile;
 pub mod gas;
 pub mod host;
 pub mod interpreter;
@@ -26,8 +25,7 @@ pub mod snapshot_host;
 pub mod stack;
 
 pub use access::{AccessKey, AccessSet, RecordingHost};
-pub use analysis::{fastpath, memo_stats, superinstr, AnalyzedCode};
-pub use compile::{classify, CompiledCode, PathClass};
+pub use analysis::{memo_stats, AnalyzedCode};
 pub use host::{BlockEnv, Host, Log, MockHost};
 pub use interpreter::{
     CallKind, CallResult, Config, Evm, Halt, Message, TraceStep, MAX_CALL_DEPTH, MAX_TRACE_STEPS,

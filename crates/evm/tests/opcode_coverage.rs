@@ -319,82 +319,6 @@ fn every_implemented_opcode_executes() {
     }
 }
 
-/// Satellite guard for the superinstruction path: every byte is either
-/// compiled natively, provably deopts to the plain interpreter, or halts
-/// identically on both paths — there is NO silent fourth state. The
-/// classification is cross-checked against the interpreter's own
-/// implemented-opcode inventory, and each smoke program's lowered stream
-/// is checked to contain the opcode in a form matching its class.
-#[test]
-fn every_opcode_compiled_or_provable_fallback() {
-    use lsc_evm::compile::{classify, try_compile, COp, PathClass};
-    use lsc_evm::AnalyzedCode;
-    use std::sync::Arc;
-
-    let implemented: Vec<u8> = implemented_opcodes().iter().map(|(b, _)| *b).collect();
-    for byte in 0u8..=255 {
-        let class = classify(byte);
-        if implemented.contains(&byte) && byte != op::INVALID {
-            assert_ne!(
-                class,
-                PathClass::Halts,
-                "0x{byte:02x} ({}) is implemented but classified as halting",
-                opcode::mnemonic(byte)
-            );
-        } else {
-            assert_eq!(
-                class,
-                PathClass::Halts,
-                "0x{byte:02x} is not implemented but classified {class:?} — the \
-                 compiled loop would execute an opcode the oracle rejects",
-            );
-        }
-    }
-
-    // Each smoke program's compiled stream must carry the opcode in a
-    // form consistent with its class (fused forms are allowed lowerings
-    // of the native class, never of the fallback class).
-    for (byte, name) in implemented_opcodes() {
-        let program = smoke_program(byte);
-        let analysis = AnalyzedCode::analyze(Arc::new(program.clone()));
-        let compiled = try_compile(&analysis)
-            .unwrap_or_else(|| panic!("smoke program for 0x{byte:02x} ({name}) must compile"));
-        let pc = match byte {
-            op::JUMP => 2,
-            op::JUMPI => 4,
-            _ => 2 * stack_in(byte) as u32,
-        };
-        let ins = compiled
-            .instrs
-            .iter()
-            .find(|i| i.pc == pc)
-            .unwrap_or_else(|| panic!("0x{byte:02x} ({name}): no instr at pc {pc}"));
-        let ok = match classify(byte) {
-            PathClass::Fallback => matches!(ins.op, COp::Deopt(b) if b == byte),
-            PathClass::Halts => matches!(ins.op, COp::Plain(b) if b == byte),
-            PathClass::Native => match byte {
-                b if opcode::is_push(b) || b == op::PUSH0 => {
-                    matches!(ins.op, COp::Push(_) | COp::Nop)
-                }
-                op::JUMP => matches!(ins.op, COp::Plain(op::JUMP) | COp::JumpStatic(_)),
-                op::JUMPI => matches!(ins.op, COp::Plain(op::JUMPI) | COp::JumpIStatic(_)),
-                op::MSTORE => matches!(ins.op, COp::Plain(op::MSTORE) | COp::MStoreK(_)),
-                op::MLOAD => matches!(ins.op, COp::Plain(op::MLOAD) | COp::MLoadK(_)),
-                op::RETURN | op::REVERT => {
-                    matches!(ins.op, COp::Plain(_) | COp::ReturnK { .. })
-                }
-                b => matches!(ins.op, COp::Plain(x) if x == b),
-            },
-        };
-        assert!(
-            ok,
-            "0x{byte:02x} ({name}) class {:?} lowered to unexpected {:?}",
-            classify(byte),
-            ins.op
-        );
-    }
-}
-
 #[test]
 fn new_opcodes_must_land_with_coverage() {
     // The checked-in inventory of covered opcodes, as inclusive byte ranges.
